@@ -1,8 +1,10 @@
 """Adaptive Gauss-Kronrod quadrature on vectorised callables.
 
-All production integrals in this package go through the routines here.
-The test suite deliberately uses scipy.integrate for its oracles, so the
-two integration paths never share code.
+Every integral the package does not have in closed form goes through the
+routines here; the angular integrals of the C estimate and of the
+rearrangement check are elementary and are evaluated exactly by their
+callers.  The test suite deliberately uses scipy.integrate for its
+oracles, so the two integration paths never share code.
 """
 
 from __future__ import annotations
@@ -63,20 +65,46 @@ def _panel(f, lo: float, hi: float):
     return ik, abs(ik - ig), resabs
 
 
+def _first_pass(f, a: float, b: float, panels: int):
+    """``panels`` equal GK15 panels of [a, b] in one call of ``f``.
+
+    Returns the bisection heap and the running totals of the Kronrod
+    values, error estimates and |f| integrals.
+    """
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)
+    x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * _XK
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    ik = half * (y @ _WK)
+    err = np.abs(ik - half * (y[:, 1::2] @ _WG))
+    resabs = half * (np.abs(y) @ _WK)
+    heap = [(-e, i, lo, hi, k, e) for i, (lo, hi, k, e) in enumerate(
+        zip(edges[:-1].tolist(), edges[1:].tolist(), ik.tolist(),
+            err.tolist()))]
+    heapq.heapify(heap)
+    return heap, float(ik.sum()), float(err.sum()), float(resabs.sum())
+
+
 def adaptive_gk15(f, a: float, b: float, rel_tol: float, abs_tol: float,
-                  max_subdivisions: int = 200) -> float:
+                  max_subdivisions: int = 200, panels: int = 1) -> float:
     """Integrate ``f`` over [a, b] to the requested tolerance.
 
     ``f`` must accept a 1-D numpy array of abscissae and return values of
-    the same shape.  Raises QuadratureError if ``max_subdivisions`` bisection
-    steps do not suffice.
+    the same shape.  The first pass splits [a, b] into ``panels`` equal
+    panels and evaluates all of them in one call of ``f``; bisection of the
+    worst panel then proceeds one panel pair at a time.  Raises
+    QuadratureError if ``max_subdivisions`` bisection steps do not suffice.
     """
     if a == b:
         return 0.0
-    ik, err, resabs = _panel(f, a, b)
-    heap = [(-err, 0, a, b, ik, err)]
-    total, total_err, total_abs = ik, err, resabs
-    counter = 1
+    if panels == 1:
+        # one panel needs no batching; this keeps the scalar callers' cost
+        ik, err, resabs = _panel(f, a, b)
+        heap = [(-err, 0, a, b, ik, err)]
+        total, total_err, total_abs = ik, err, resabs
+    else:
+        heap, total, total_err, total_abs = _first_pass(f, a, b, panels)
+    counter = panels
     for _ in range(max_subdivisions):
         # round-off floor: below this the error estimate is noise
         floor = 50.0 * _EPS * total_abs
@@ -109,7 +137,9 @@ def arc_adaptive_batch(f, lo, hi, rel_tol: float, abs_tol: float,
     ``f`` maps an (m, k) array of abscissae to an (m, k) array of values.
     Subdivision happens in a shared normalised coordinate, so every row is
     refined in lockstep; the row with the worst error drives refinement.
-    Returns an (m,) array.
+    Returns an (m,) array.  No production integral uses it any more (the
+    angular integrals it served have closed forms); the benchmark tracer
+    in perfbench/ still resolves it by name.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)

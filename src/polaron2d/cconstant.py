@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ._parallel import parallel_map
-from ._quad import adaptive_gk15, arc_adaptive_batch
+from ._quad import adaptive_gk15
 from .corefuncs import ModelParams, QuadratureSpec
 
 __all__ = [
@@ -248,47 +248,77 @@ def inner_integral_tail_bound(p, Q, tau: float, cfg: CSearchConfig,
     return 2.0 * math.pi * php * w_top / ((M + 2.0) * w_bot * (R - cnorm) ** 2)
 
 
-def _angular_kernel(r: np.ndarray, p_hat, c_vec, B: float, M: float,
-                    quad: QuadratureSpec) -> np.ndarray:
-    """Circle integral of |sigma^-| at radii r (batched).
+def _angular_kernel(r: np.ndarray, p_hat, c_vec, B: float,
+                    M: float) -> np.ndarray:
+    """Circle integral of |sigma^-| at radii r, in closed form (batched).
 
-    The integrand has |.|-kinks where p_hat . q_hat(theta) changes sign;
-    the two zero angles are located analytically and the circle is split
-    there, so each arc is analytic and the panel quadrature converges
-    fast.  Anchoring the arcs at the direction of p_hat makes the result
-    equivariant under joint rotations, which keeps the rotational
-    invariance of the integral at round-off level.
+    With q_hat = r e(theta) + c, both a -+ 2b equal alpha -+ 2d + beta.e
+    with d = p_hat.c and beta = 2r((M+1)c -+ p_hat), and alpha > |beta|.
+    The circle splits at the two zeros of b = p_hat.q_hat, where
+    |sigma^-| = +-(M/2)[1/(a-2b) - 1/(a+2b)].  On each arc put
+    theta = psi0 + 2h, with psi0 the direction of p_hat or its opposite so
+    that |h| <= pi/2; then (Gradshteyn & Ryzhik 2.553)
+
+        int dtheta / (alpha + beta.e) = (2/s) atan2(R sin h + Q cos h, s cos h)
+
+    with s^2 = alpha^2 - |beta|^2, R = alpha - beta.u and Q = beta.u_perp
+    (u = e(psi0)).  The two terms cancel when |p_hat| is small, so their
+    difference is formed from the analytic differences
+    R_- - R_+ = 4(+-r|p_hat| - d), Q_- = Q_+ and
+    s_+^2 - s_-^2 = 8d((M+1)(|p_hat|^2 + |c|^2 - r^2) + B), and the two
+    angles are subtracted as the argument of z_- conj(z_+).  Anchoring the
+    arcs at p_hat keeps the result equivariant under joint rotations.
     """
     php = math.hypot(p_hat[0], p_hat[1])
-    psi = math.atan2(p_hat[1], p_hat[0])
+    ux, uy = p_hat[0] / php, p_hat[1] / php
     d = p_hat[0] * c_vec[0] + p_hat[1] * c_vec[1]
-    kappa = np.clip(-d / (r * php), -1.0, 1.0)
-    aoff = np.arccos(kappa)
+    c_par = c_vec[0] * ux + c_vec[1] * uy
+    c_perp = c_vec[1] * ux - c_vec[0] * uy
+    aoff = np.arccos(np.clip(-d / (r * php), -1.0, 1.0))
+    csq = c_vec[0] ** 2 + c_vec[1] ** 2
+    alpha = (M + 1.0) * (php * php + r * r + csq) + B
+    alpha_plus, alpha_minus = alpha + 2.0 * d, alpha - 2.0 * d
+    beta_c = 2.0 * (M + 1.0) * r * c_par
+    beta_p = 2.0 * r * php
+    ds_sq = 8.0 * d * ((M + 1.0) * (php * php + csq - r * r) + B)
+    total = 0.0
+    # b > 0 on the arc centred on p_hat, b < 0 on the opposite arc
+    for sign, half_arc in ((1.0, 0.5 * aoff), (-1.0, 0.5 * (math.pi - aoff))):
+        P_p = sign * (beta_c + beta_p)
+        P_m = sign * (beta_c - beta_p)
+        Q = sign * 2.0 * (M + 1.0) * r * c_perp
+        R_p, R_m = alpha_plus - P_p, alpha_minus - P_m
+        s_p = np.sqrt(R_p * (alpha_plus + P_p) - Q * Q)
+        s_m = np.sqrt(R_m * (alpha_minus + P_m) - Q * Q)
+        dR = 4.0 * (sign * r * php - d)          # R_- - R_+
+        ds = ds_sq / (s_p + s_m)                 # s_+ - s_-
 
-    def eval_theta(theta):
-        qhx = r[:, None] * np.cos(theta) + c_vec[0]
-        qhy = r[:, None] * np.sin(theta) + c_vec[1]
-        qhsq = qhx * qhx + qhy * qhy
-        b = p_hat[0] * qhx + p_hat[1] * qhy
-        return _abs_sigma_minus(php * php, b, qhsq, B, M)
+        def antiderivative(h):
+            # F_- - F_+ at half-angle h
+            sh, ch = np.sin(h), np.cos(h)
+            y_p = R_p * sh + Q * ch
+            y_m = R_m * sh + Q * ch
+            im = ch * (sh * (dR * s_p + R_p * ds) + Q * ch * ds)
+            re = s_m * s_p * ch * ch + y_m * y_p
+            return (2.0 / s_m) * (np.arctan2(im, re)
+                                  + np.arctan2(y_p, s_p * ch) * ds / s_p)
 
-    tol_r = 0.1 * quad.rel_tol
-    pos = arc_adaptive_batch(eval_theta, psi - aoff, psi + aoff,
-                             tol_r, quad.abs_tol, quad.max_subdivisions)
-    neg = arc_adaptive_batch(eval_theta, psi + aoff, psi - aoff + 2.0 * math.pi,
-                             tol_r, quad.abs_tol, quad.max_subdivisions)
-    return pos + neg
+        total = total + sign * (antiderivative(half_arc)
+                                - antiderivative(-half_arc))
+    return 0.5 * M * total
 
 
 def inner_integral(p, Q, tau: float, cfg: CSearchConfig, params: ModelParams,
                    _with_tail: bool = False):
     """Momentum integral of :func:`c_integrand` over lam < q^2 <= q_mag_max^2.
 
-    Evaluated in polar coordinates: analytic-arc angular quadrature inside
-    an adaptive radial integral in log(q^2).  The discarded tail carries
-    the certified bound of :func:`inner_integral_tail_bound`; if that
-    bound exceeds the configured relative allowance, TailBoundExceeded is
-    raised rather than silently accepting the truncation.
+    Evaluated in polar coordinates: the closed-form angular integral of
+    :func:`_angular_kernel` inside an adaptive radial integral in log(q^2)
+    whose first pass is eight equal GK15 panels.  The discarded tail
+    carries the certified bound of :func:`inner_integral_tail_bound`; if
+    that bound exceeds the configured relative allowance,
+    TailBoundExceeded is raised rather than silently accepting the
+    truncation.
     """
     M = params.mass_ratio
     p = np.asarray(p, dtype=float)
@@ -308,13 +338,14 @@ def inner_integral(p, Q, tau: float, cfg: CSearchConfig, params: ModelParams,
         s = np.exp(eta)
         r = np.sqrt(s)
         circ = _angular_kernel(r, (float(p_hat[0]), float(p_hat[1])),
-                               (float(c_vec[0]), float(c_vec[1])), B, M, quad)
+                               (float(c_vec[0]), float(c_vec[1])), B, M)
         # measure: dq = (1/2) ds dtheta in s = q^2; the 1/q^2 of the
         # integrand cancels the jacobian of eta = log s
         return 0.5 * weight(tau + s, cfg.mu, cfg.lam) * circ
 
     val = adaptive_gk15(radial, math.log(cfg.lam), 2.0 * math.log(cfg.q_mag_max),
-                        quad.rel_tol, quad.abs_tol, quad.max_subdivisions)
+                        quad.rel_tol, quad.abs_tol, quad.max_subdivisions,
+                        panels=8)
     if tail > quad.tail_truncation_rel * val + quad.abs_tol:
         raise TailBoundExceeded(
             f"certified tail {tail:.3e} exceeds allowance "
@@ -350,12 +381,8 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams,
     mesh = np.stack(np.meshgrid(qmag, ppar, pperp, tau, indexing="ij"),
                     axis=-1).reshape(-1, 4)
 
-    chunks = [c for c in np.array_split(np.arange(len(mesh)),
-                                        max(1, 4 * threads)) if len(c)]
-    def run_chunk(idx):
-        return [_objective(mesh[i], cfg, params) for i in idx]
-    values = np.array([v for chunk in parallel_map(run_chunk, chunks, threads)
-                       for v in chunk])
+    values = np.array(parallel_map(lambda z: _objective(z, cfg, params),
+                                   mesh, threads))
 
     order = np.argsort(-values, kind="stable")
     candidates = [(float(values[i]), tuple(mesh[i])) for i in order[:5]]

@@ -19,10 +19,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._parallel import parallel_map
-from ._quad import adaptive_gk15, arc_adaptive_batch, leggauss
-from .corefuncs import (KernelPoint, ModelParams, QuadratureSpec, alpha_m,
-                        beta, bound_lhs, bound_lhs_alt, envelope_cutoff_integral,
-                        kernel_envelope)
+from ._quad import adaptive_gk15, leggauss
+from .corefuncs import (KernelPoint, ModelParams, QuadratureSpec, a_scale,
+                        alpha_m, bound_lhs, bound_lhs_alt,
+                        envelope_cutoff_integral)
 
 __all__ = [
     "VerificationCase", "CaseResult", "VerificationReport",
@@ -316,42 +316,43 @@ def verify_momentum_bounds(samples: int, seed: int,
                    tolerance)
 
 
+def _envelope_circle_integral(r, vnorm: float, A: float, ku: float):
+    """Integral of kernel_envelope(|q+v|^2) over the circle |q| = r.
+
+    The envelope is 1/(2 ku^2 (|q+v|^2 + A)) and |q+v|^2 = r^2 + v^2 +
+    2 r |v| cos(theta), so the angle integrates to 2 pi / sqrt(D^2 - (2r|v|)^2)
+    with D = r^2 + v^2 + A.  Factored as ((r-|v|)^2 + A)((r+|v|)^2 + A),
+    the difference of squares has no cancellation.
+    """
+    return math.pi / (ku * ku * np.sqrt(((r - vnorm) ** 2 + A)
+                                        * ((r + vnorm) ** 2 + A)))
+
+
 def _shifted_envelope_integral(v, k: KernelPoint, params: ModelParams,
                                quad: QuadratureSpec, rhs_scale: float) -> float:
     """Cubature of int_{q^2 > lam} kernel_envelope(|q+v|^2) / q^2 dq.
 
-    Polar coordinates; the angular integral is batched over the radial
-    nodes and the radial integral runs adaptively in log r up to a radius
+    Polar coordinates; the angular integral is the closed form of
+    :func:`_envelope_circle_integral`, and the radial integral runs
+    adaptively in log r, first pass eight equal GK15 panels, up to a radius
     whose discarded tail is below 1e-3 * quad.rel_tol * rhs_scale by the
     comparison bound 2 pi / ((M+1-u)^2 R^2).
     """
     ku = params.mass_ratio + 1.0 - k.u
-    vx, vy = float(v[0]), float(v[1])
-    vnorm = math.hypot(vx, vy)
+    A = a_scale(k, params)
+    vnorm = math.hypot(float(v[0]), float(v[1]))
     tail_target = max(1e-3 * quad.rel_tol * rhs_scale, 1e-280)
     R = max(2.0 * vnorm + 4.0 * math.sqrt(k.lam),
             math.sqrt(2.0 * math.pi / (ku * ku * tail_target)))
-    theta0 = math.atan2(-vy, -vx)  # anchor the arc at the envelope peak
-
-    def angular(r):
-        def eval_theta(theta):
-            shifted_sq = (r[:, None] ** 2
-                          + 2.0 * r[:, None] * (vx * np.cos(theta) + vy * np.sin(theta))
-                          + vnorm ** 2)
-            return kernel_envelope(shifted_sq, k, params)
-        return arc_adaptive_batch(eval_theta, np.full(r.shape, theta0),
-                                  np.full(r.shape, theta0 + 2.0 * math.pi),
-                                  0.1 * quad.rel_tol, quad.abs_tol,
-                                  quad.max_subdivisions)
 
     def radial(eta):
-        r = np.exp(eta)
         # dq = r dr dtheta and the integrand carries 1/r^2; in eta = log r
         # the jacobian r cancels one power
-        return angular(r)
+        return _envelope_circle_integral(np.exp(eta), vnorm, A, ku)
 
     return adaptive_gk15(radial, math.log(math.sqrt(k.lam)), math.log(R),
-                         quad.rel_tol, quad.abs_tol, quad.max_subdivisions)
+                         quad.rel_tol, quad.abs_tol, quad.max_subdivisions,
+                         panels=8)
 
 
 def verify_rearrangement(samples: int, seed: int,
@@ -366,8 +367,8 @@ def verify_rearrangement(samples: int, seed: int,
       int (1-chi_lam(q))/q^2 * envelope(|q+v|^2) dq
         <= int j_weight(q^2) * envelope(q^2) dq  (closed form).
 
-    Left side by two-dimensional cubature, right side by
-    envelope_cutoff_integral.
+    Left side by radial quadrature of the closed-form circle integral,
+    right side by envelope_cutoff_integral.
     """
     quad = quad or QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
                                   max_subdivisions=400)
@@ -391,11 +392,7 @@ def verify_rearrangement(samples: int, seed: int,
         lhs = _shifted_envelope_integral(v, k, pars, quad, rhs)
         return lhs, rhs
 
-    chunks = [c for c in np.array_split(np.arange(samples),
-                                        max(1, 4 * threads)) if len(c)]
-    pairs = [p for chunk in parallel_map(
-        lambda idx: [one(int(i)) for i in idx], chunks, threads)
-        for p in chunk]
+    pairs = parallel_map(one, range(samples), threads)
 
     lhs = np.array([p[0] for p in pairs])
     rhs = np.array([p[1] for p in pairs])
@@ -476,10 +473,7 @@ def _case_resolvent_tail(samples, seed, tol, quad, threads=1):
 
     def one(i):
         return verify_tail_integral(float(lams[i]), float(mus[i]), quad, tol)
-    chunks = [c for c in np.array_split(np.arange(n),
-                                        max(1, 4 * threads)) if len(c)]
-    rows = [r for chunk in parallel_map(
-        lambda idx: [one(int(i)) for i in idx], chunks, threads) for r in chunk]
+    rows = parallel_map(one, range(n), threads)
     worst = max(rows, key=lambda r: r.max_violation)
     return _result("resolvent_tail_integral", n, worst.max_violation,
                    worst.worst_input, tol)
@@ -525,12 +519,9 @@ def _case_u_integral(samples, seed, tol, quad, threads=1):
     return verify_u_integral_bound(samples, seed, tolerance=tol)
 
 
-_REARRANGEMENT_CAP = 2000  # per-sample cubature cost caps this case
-
-
 def _case_rearrangement(samples, seed, tol, quad, threads=1):
-    return verify_rearrangement(min(samples, _REARRANGEMENT_CAP), seed,
-                                quad=quad, tolerance=tol, threads=threads)
+    return verify_rearrangement(samples, seed, quad=quad, tolerance=tol,
+                                threads=threads)
 
 
 def _case_lhs_forms(samples, seed, tol, quad, threads=1):

@@ -176,6 +176,53 @@ def cartesian_annulus_integral(p, Q, tau, cfg, params,
     return total
 
 
+def sigma_minus_circle_quad(r: float, p_hat, c_vec, B: float,
+                            M: float) -> float:
+    """scipy quadrature of the circle integral of |sigma^-| at radius r.
+
+    q_hat(theta) = r (cos theta, sin theta) + c_vec, and |sigma^-| is
+    recoded as 2M|b| / ((a - 2b)(a + 2b)), which stays accurate when the
+    two resolvents nearly cancel (small |p_hat|).  The |.|-kinks,
+    where p_hat . q_hat changes sign, are found by a sign scan plus
+    bisection and passed to quad as break points.
+    """
+    def b(theta):
+        return (p_hat[0] * (r * math.cos(theta) + c_vec[0])
+                + p_hat[1] * (r * math.sin(theta) + c_vec[1]))
+
+    def integrand(theta):
+        qx = r * math.cos(theta) + c_vec[0]
+        qy = r * math.sin(theta) + c_vec[1]
+        S = p_hat[0] ** 2 + p_hat[1] ** 2 + qx * qx + qy * qy
+        a = (M + 1.0) * S + B
+        bb = p_hat[0] * qx + p_hat[1] * qy
+        return 2.0 * M * abs(bb) / ((a - 2.0 * bb) * (a + 2.0 * bb))
+
+    grid = np.linspace(-math.pi, math.pi, 2049)
+    vals = np.array([b(t) for t in grid])
+    kinks = [bisect(b, float(grid[i]), float(grid[i + 1]), tol=1e-15)
+             for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
+    val, _ = integrate.quad(integrand, -math.pi, math.pi,
+                            points=kinks or None, limit=400,
+                            epsabs=0.0, epsrel=1e-13)
+    return val
+
+
+def envelope_circle_quad(r: float, v, k, params) -> float:
+    """scipy quadrature of the package's kernel_envelope(|q + v|^2) over
+    the circle |q| = r."""
+    from polaron2d import kernel_envelope
+
+    def integrand(theta):
+        qx = r * math.cos(theta) + v[0]
+        qy = r * math.sin(theta) + v[1]
+        return kernel_envelope(qx * qx + qy * qy, k, params)
+
+    val, _ = integrate.quad(integrand, 0.0, 2.0 * math.pi, limit=400,
+                            epsabs=0.0, epsrel=1e-13)
+    return val
+
+
 def lambda_grid_scan(params, lam_min: float, lam_max: float, n: int,
                      solve_mu, spec=None):
     """Brute-force log-grid scan of mu(lam); returns (lams, mus)."""

@@ -11,7 +11,11 @@ from polaron2d import (BoundaryMaximizerWarning, CSearchConfig, GridSpec,
                        inner_integral, inner_integral_tail_bound, scan_C_vs_M,
                        weight)
 
-from oracles import c_integrand_scalar, cartesian_annulus_integral
+from polaron2d import cconstant
+from polaron2d.cconstant import _angular_kernel
+
+from oracles import (c_integrand_scalar, cartesian_annulus_integral,
+                     sigma_minus_circle_quad)
 
 
 def rotation(angle):
@@ -128,6 +132,54 @@ class TestCIntegrand:
                         np.array([0.0, 0.0]), 1.0, small_cfg, params_m2)
 
 
+def _kernel_vs_oracle(r, p_hat, c_vec, B, M):
+    got = _angular_kernel(np.asarray(r, dtype=float), p_hat, c_vec, B, M)
+    want = np.array([sigma_minus_circle_quad(float(x), p_hat, c_vec, B, M)
+                     for x in np.atleast_1d(r)])
+    return np.max(np.abs(got - want) / want)
+
+
+class TestAngularKernel:
+    """The closed-form circle integral against scipy quadrature with the
+    |.|-kinks as break points."""
+
+    def test_random_inputs(self, rng):
+        for _ in range(40):
+            M = float(rng.uniform(0.2, 50.0))
+            p_hat = tuple(rng.uniform(-5.0, 5.0, 2))
+            c_vec = tuple(rng.uniform(-3.0, 3.0, 2))
+            B = float(10 ** rng.uniform(-1, 2))
+            r = np.geomspace(0.3, 300.0, 4) * float(rng.uniform(0.5, 2.0))
+            assert _kernel_vs_oracle(r, p_hat, c_vec, B, M) <= 1e-12
+
+    @pytest.mark.parametrize("php", [1e-2, 1e-6, 1e-12])
+    def test_small_shifted_momentum(self, php, rng):
+        # the two resolvent terms cancel to relative order |p_hat|
+        for _ in range(5):
+            ang = float(rng.uniform(0, 2 * math.pi))
+            p_hat = (php * math.cos(ang), php * math.sin(ang))
+            c_vec = tuple(rng.uniform(-3.0, 3.0, 2))
+            r = np.array([0.5, 1.0, 2.0, 7.0, 40.0])
+            assert _kernel_vs_oracle(r, p_hat, c_vec, 3.0, 2.0) <= 1e-12
+
+    def test_zero_offset(self, rng):
+        for _ in range(5):
+            p_hat = tuple(rng.uniform(-5.0, 5.0, 2))
+            r = np.geomspace(0.5, 50.0, 5)
+            assert _kernel_vs_oracle(r, p_hat, (0.0, 0.0), 2.5, 1.5) <= 1e-12
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_arc_edges(self, side):
+        # |p_hat . c| = r |p_hat| makes the zero set of b a single tangent
+        # point: aoff = 0 (b <= 0 everywhere) or aoff = pi (b >= 0)
+        p_hat = (0.8, -0.6)
+        c_vec = (side * 1.5, 0.4)
+        d = p_hat[0] * c_vec[0] + p_hat[1] * c_vec[1]
+        r = abs(d) / math.hypot(*p_hat)
+        assert _kernel_vs_oracle([r, r * (1 + 1e-9), r * (1 - 1e-9)],
+                                 p_hat, c_vec, 1.2, 2.0) <= 1e-12
+
+
 class TestInnerIntegral:
     def test_zero_at_vanishing_shifted_momentum(self, params_m2, small_cfg):
         M = params_m2.mass_ratio
@@ -173,6 +225,16 @@ class TestInnerIntegral:
         cfg = CSearchConfig(q_mag_max=3.0)
         with pytest.raises(TailBoundExceeded):
             inner_integral((1.0, 0.5), (2.0, 0.0), 0.7, cfg, params_m2)
+
+    def test_radial_cost_at_argmax(self, params_m2, integrand_calls):
+        # one vectorised first pass settles the coarse M = 2 maximiser;
+        # more calls mean the radial rule regressed
+        calls = integrand_calls(cconstant)
+        val = inner_integral((-1.6507057666234086, 0.0),
+                             (0.4466941348501683, 0.0), 1e-3,
+                             coarse_config(), params_m2)
+        assert val > 0.0
+        assert 1 <= len(calls) <= 3
 
     def test_tail_bound_positive_and_finite(self, params_m2, small_cfg):
         tb = inner_integral_tail_bound((1.0, 0.5), (2.0, 0.0), 0.7,

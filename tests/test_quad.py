@@ -39,6 +39,35 @@ class TestAdaptiveGK:
             adaptive_gk15(lambda x: np.abs(np.sin(200.0 / (x + 1e-3))),
                           0.0, 1.0, 1e-13, 1e-15, max_subdivisions=3)
 
+    def test_panels_first_pass_is_one_call(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(len(x))
+            return np.exp(x)
+
+        val = adaptive_gk15(f, 0.0, 2.0, 1e-12, 1e-14, panels=8)
+        assert val == pytest.approx(math.e ** 2 - 1.0, rel=1e-14)
+        assert sizes == [8 * 15]
+
+    def test_panels_then_bisection(self):
+        # a peak narrower than one first-pass panel still needs bisection
+        def peaked(x):
+            return 1.0 / ((x - 0.3) ** 2 + 1e-6)
+
+        sizes = []
+
+        def f(x):
+            sizes.append(len(x))
+            return peaked(x)
+
+        val = adaptive_gk15(f, 0.0, 1.0, 1e-11, 1e-14, panels=4)
+        expected = (math.atan(0.7 / 1e-3) + math.atan(0.3 / 1e-3)) / 1e-3
+        assert val == pytest.approx(expected, rel=1e-10)
+        assert sizes[0] == 4 * 15 and set(sizes[1:]) == {15}
+        reverse = adaptive_gk15(peaked, 1.0, 0.0, 1e-11, 1e-14, panels=4)
+        assert reverse == pytest.approx(-val, rel=1e-12)
+
 
 class TestArcBatch:
     def test_rows_with_different_intervals(self):

@@ -4,13 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from polaron2d import (KernelPoint, ModelParams, QuadratureSpec, alpha_m,
-                       bound_lhs, envelope_cutoff_integral, run_suite,
+from polaron2d import (KernelPoint, ModelParams, QuadratureSpec, a_scale,
+                       alpha_m, bound_lhs, envelope_cutoff_integral, run_suite,
                        verify_bound_chain, verify_disk_area,
                        verify_momentum_bounds, verify_rearrangement,
                        verify_sigma_minus, verify_tail_integral,
                        verify_u_integral_bound)
-from polaron2d.verify import _shifted_envelope_integral
+from polaron2d import verify
+from polaron2d.verify import (_envelope_circle_integral,
+                              _shifted_envelope_integral)
+
+from oracles import envelope_circle_quad
 
 
 class TestTailIntegral:
@@ -143,6 +147,42 @@ class TestRearrangement:
         rhs = envelope_cutoff_integral(k, params_m2)
         lhs = _shifted_envelope_integral((1e3, 0.0), k, params_m2, quad, rhs)
         assert lhs < 0.1 * rhs
+
+    def test_circle_integral_matches_quadrature(self, rng):
+        for _ in range(30):
+            M = float(rng.uniform(0.2, 50.0))
+            pars = ModelParams(M, -1.0)
+            k = KernelPoint(u=float(rng.uniform(0, 1)),
+                            tau=float(rng.uniform(0, 10)),
+                            psq=float(rng.uniform(0, 100)),
+                            mu=-float(10 ** rng.uniform(-1, 1)),
+                            lam=float(10 ** rng.uniform(-1, 1)))
+            ang = float(rng.uniform(0, 2 * math.pi))
+            vmag = float(rng.choice([0.0, 1e-6, rng.uniform(0, 10)]))
+            v = (vmag * math.cos(ang), vmag * math.sin(ang))
+            A = a_scale(k, pars)
+            for r in (1e-3, 0.5, vmag, 3.0, 1e3):
+                got = _envelope_circle_integral(r, vmag, A, M + 1.0 - k.u)
+                want = envelope_circle_quad(r, v, k, pars)
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_uncapped_sample_count(self):
+        report = run_suite("inequalities", samples=2500, seed=2)
+        row = next(c for c in report.cases if c.name == "rearrangement")
+        assert row.samples_run == 2500
+        assert row.passed
+
+    def test_radial_cost_of_one_sample(self, params_m2, integrand_calls):
+        # one first pass plus at most one bisection at an unshifted point;
+        # more calls mean the radial rule regressed
+        calls = integrand_calls(verify)
+        k = KernelPoint(u=0.3, tau=0.5, psq=2.0, mu=-1.0, lam=1.5)
+        quad = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
+                              max_subdivisions=400)
+        rhs = envelope_cutoff_integral(k, params_m2)
+        lhs = _shifted_envelope_integral((0.0, 0.0), k, params_m2, quad, rhs)
+        assert 0.0 < lhs < rhs
+        assert 1 <= len(calls) <= 3
 
 
 class TestBoundChain:
