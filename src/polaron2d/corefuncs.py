@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import QuadratureError, adaptive_gk15
+from ._quad import QuadratureError
 
 __all__ = [
     "ModelParams", "QuadratureSpec", "KernelPoint", "QuadratureError",
@@ -119,25 +119,27 @@ def beta(u, params: ModelParams):
     return _match(u, np.minimum(1.0, ratio))
 
 
-def alpha_m(params: ModelParams, quad: QuadratureSpec | None = None) -> float:
+def alpha_m(params: ModelParams) -> float:
     """Mass constant alpha(M) = 1/(2(M+1)) + (1/2) int_0^1 du/(beta(u)(M+1-u)).
 
-    The integrand has a derivative kink where the two beta branches cross,
-    so the integral is evaluated adaptively on the two smooth pieces.
-    Absolute error is kept within quad.abs_tol.
+    The integral has an elementary closed form once it is split at the
+    kink u* = 1/(M+1).  On [0, u*] beta = 1 and the integrand 1/(M+1-u)
+    gives log((M+1)/(M+1-u*)) = log1p(1/(M(M+2))).  On [u*, 1] the
+    substitution v = M+1-u turns the integrand into M/v^2 + 1/((M+2)v)
+    over v in [M, M(M+2)/(M+1)], which gives 1/(M+2) + log1p(1/(M+1))/(M+2).
+    Hence
+
+        alpha(M) = 1/(2(M+1)) + (1/2) [ log1p(1/(M(M+2))) + 1/(M+2)
+                                        + log1p(1/(M+1))/(M+2) ].
+
+    Every term is positive and both logarithms go through log1p, so the
+    form is free of cancellation for all M > 0.
     """
-    quad = quad or QuadratureSpec()
     M = params.mass_ratio
-    kink = beta_kink(params)
-
-    def integrand(u):
-        return 1.0 / (beta(u, params) * (M + 1.0 - u))
-
-    piece1 = adaptive_gk15(integrand, 0.0, kink, quad.rel_tol,
-                           0.5 * quad.abs_tol, quad.max_subdivisions)
-    piece2 = adaptive_gk15(integrand, kink, 1.0, quad.rel_tol,
-                           0.5 * quad.abs_tol, quad.max_subdivisions)
-    return 0.5 / (M + 1.0) + 0.5 * (piece1 + piece2)
+    return (0.5 / (M + 1.0)
+            + 0.5 * (math.log1p(1.0 / (M * (M + 2.0)))
+                     + 1.0 / (M + 2.0)
+                     + math.log1p(1.0 / (M + 1.0)) / (M + 2.0)))
 
 
 def coupling_alpha(params: ModelParams) -> float:
@@ -161,7 +163,9 @@ def bound_lhs(mu, lam: float, params: ModelParams, alpham: float):
 
     Both logarithm arguments are positive for mu < 0: mu/E_B > 0 and
     E_B (1/mu - 1/lam) = |E_B| (1/|mu| + 1/lam) > 0.  alpha(M) is taken
-    as an argument so root finding never repeats the quadrature.
+    as an argument so one value serves a whole grid of mu.  The root
+    solvers evaluate the same expression on plain floats; this vectorised
+    form is the reference they are tested against.
     """
     _check_mu_lam(mu, lam)
     M = params.mass_ratio

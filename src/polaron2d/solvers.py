@@ -5,6 +5,11 @@ solve_gamma the dimensionless ratio gamma = mu/E_B obtained by tying the
 cutoff to the binding energy, critical_mass the mass ratio at which the
 bound's hypothesis alpha(M) < M/(M+1) starts to hold, and optimize_lambda
 the cutoff that maximises the bound.
+
+solve_mu is the one root solver of the bound equation: solve_gamma is
+solve_mu at E_B = -1, lam = 1, and optimize_lambda calls it once per
+trial cutoff.  It evaluates the equation on plain floats with ``math``,
+and alpha(M) is a closed form, so no solver runs a quadrature.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corefuncs import ModelParams, QuadratureSpec, alpha_m, bound_lhs
+from .corefuncs import ModelParams, alpha_m
 
 __all__ = [
     "RootFindSpec", "CutoffChoice", "BoundResult",
@@ -164,24 +169,31 @@ def _require_subcritical(mass_ratio: float, alpham: float):
 
 def solve_mu(params: ModelParams, lam: float,
              spec: RootFindSpec | None = None,
-             quad: QuadratureSpec | None = None,
              alpham: float | None = None) -> BoundResult:
     """Solve the bound equation for mu < E_B at a fixed cutoff lam.
 
     The root is bracketed between E_B(1 + 1e-9), where the left side is
     negative, and a geometrically expanded left endpoint where it turns
-    positive, then refined by bisection-safeguarded interpolation.
+    positive, then refined by bisection-safeguarded interpolation.  The
+    left side is :func:`corefuncs.bound_lhs`, evaluated here on floats;
+    the bracket keeps mu < 0, so the inputs are checked once.
     """
     spec = spec or RootFindSpec()
     if not lam > 0:
         raise ValueError("lam must be positive")
     if alpham is None:
-        alpham = alpha_m(params, quad)
+        alpham = alpha_m(params)
     _require_subcritical(params.mass_ratio, alpham)
     eb = params.binding_energy
+    coeff = params.mass_ratio / (params.mass_ratio + 1.0) - alpham
+    inv_lam = 1.0 / lam
 
     def f(mu):
-        return bound_lhs(mu, lam, params, alpham)
+        return (coeff * math.log(mu / eb)
+                - math.sqrt(lam / -mu)
+                - math.sqrt(lam / (lam - mu))
+                - alpham * math.log(eb * (1.0 / mu - inv_lam))
+                - alpham)
 
     right = eb * (1.0 + 1e-9)
     f_right = f(right)
@@ -220,7 +232,6 @@ def solve_mu(params: ModelParams, lam: float,
 
 def solve_gamma(mass_ratio: float,
                 spec: RootFindSpec | None = None,
-                quad: QuadratureSpec | None = None,
                 alpham: float | None = None) -> float:
     """Solve for the dimensionless ratio gamma_M > 1.
 
@@ -228,50 +239,15 @@ def solve_gamma(mass_ratio: float,
 
         (M/(M+1) - a) log(g) - 1/sqrt(g) - 1/sqrt(1+g) - a log(1 + 1/g) = a,
 
-    with a = alpha(M).  Tying the cutoff to the binding energy reduces the
-    full bound equation to this form, so gamma_M * E_B equals solve_mu
-    with lam = -E_B.
+    with a = alpha(M).  This is the bound equation with the cutoff tied to
+    the binding energy, lam = -E_B, in units where E_B = -1; so gamma_M is
+    solve_mu at E_B = -1, lam = 1, and its errors are solve_mu's.
     """
-    spec = spec or RootFindSpec()
-    if alpham is None:
-        alpham = alpha_m(ModelParams(mass_ratio, -1.0), quad)
-    _require_subcritical(mass_ratio, alpham)
-    coeff = mass_ratio / (mass_ratio + 1.0) - alpham
-
-    def g(t):
-        return (coeff * math.log(t) - 1.0 / math.sqrt(t)
-                - 1.0 / math.sqrt(1.0 + t) - alpham * math.log1p(1.0 / t)
-                - alpham)
-
-    left = 1.0 + 1e-9
-    f_left = g(left)
-    if f_left >= 0.0:
-        raise BracketFailure("left side not negative just above gamma = 1")
-    right = 2.0
-    f_right = g(right)
-    for _ in range(spec.max_iter):
-        if f_right > 0.0:
-            break
-        if right > 1e307 / spec.bracket_growth:
-            raise BracketFailure(
-                "bound ratio exceeds the floating-point range; the mass "
-                "ratio is too close to the critical mass")
-        right *= spec.bracket_growth
-        f_right = g(right)
-    else:
-        raise BracketFailure(
-            f"no sign change within {spec.max_iter} bracket expansions")
-
-    root, fres, _ = _brent(g, left, right, f_left, f_right,
-                           spec.x_tol, spec.max_iter)
-    if abs(fres) > spec.f_tol:
-        raise NonConvergence(
-            f"residual {fres:.3e} exceeds f_tol {spec.f_tol:.3e}")
-    return root
+    return solve_mu(ModelParams(mass_ratio, -1.0), 1.0, spec,
+                    alpham=alpham).gamma
 
 
 def critical_mass(spec: RootFindSpec | None = None,
-                  quad: QuadratureSpec | None = None,
                   bracket: tuple[float, float] = (1.0, 1.5)) -> float:
     """Mass ratio M* at which alpha(M) = M/(M+1).
 
@@ -283,7 +259,7 @@ def critical_mass(spec: RootFindSpec | None = None,
     lo, hi = bracket
 
     def h(m):
-        return alpha_m(ModelParams(m, -1.0), quad) - m / (m + 1.0)
+        return alpha_m(ModelParams(m, -1.0)) - m / (m + 1.0)
 
     n_guard = 11
     vals = [h(lo + (hi - lo) * i / (n_guard - 1)) for i in range(n_guard)]
@@ -306,8 +282,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def optimize_lambda(params: ModelParams, choice: CutoffChoice,
-                    spec: RootFindSpec | None = None,
-                    quad: QuadratureSpec | None = None) -> BoundResult:
+                    spec: RootFindSpec | None = None) -> BoundResult:
     """Maximise the bound mu over the cutoff range of an ``optimize`` choice.
 
     The search runs in log(lam) by golden section (the natural cutoff
@@ -319,7 +294,7 @@ def optimize_lambda(params: ModelParams, choice: CutoffChoice,
     spec = spec or RootFindSpec()
     if choice.mode != "optimize":
         raise ValueError("optimize_lambda requires an 'optimize' cutoff choice")
-    alpham = alpha_m(params, quad)
+    alpham = alpha_m(params)
     _require_subcritical(params.mass_ratio, alpham)
 
     lo = math.log(choice.lambda_min)
@@ -328,7 +303,7 @@ def optimize_lambda(params: ModelParams, choice: CutoffChoice,
 
     def mu_at(x: float) -> float:
         if x not in evaluations:
-            evaluations[x] = solve_mu(params, math.exp(x), spec, quad,
+            evaluations[x] = solve_mu(params, math.exp(x), spec,
                                       alpham=alpham)
         return evaluations[x].mu
 

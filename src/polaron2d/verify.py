@@ -421,8 +421,7 @@ def _pre_minimization_expression(tau, mu: float, lam: float,
 
 
 def verify_bound_chain(params: ModelParams, lam: float, mu_grid,
-                       tau_grid=None, quad: QuadratureSpec | None = None,
-                       tolerance: float = 1e-12) -> CaseResult:
+                       tau_grid=None, tolerance: float = 1e-12) -> CaseResult:
     """The bound equation is the tau-minimum of the spectral expression.
 
     With the total momentum set to zero and the free fermion energy
@@ -430,7 +429,7 @@ def verify_bound_chain(params: ModelParams, lam: float, mu_grid,
     the bound-equation left side at tau = 0 and dominates it for every
     tau >= 0 (checked on a grid).
     """
-    alpham = alpha_m(params, quad)
+    alpham = alpha_m(params)
     eb = params.binding_energy
     if tau_grid is None:
         tau_grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 49) * (-eb)])
@@ -528,7 +527,7 @@ def _case_lhs_forms(samples, seed, tol, quad, threads=1):
     """Both algebraic forms of the bound-equation left side agree."""
     rng = np.random.default_rng(seed)
     m_values = np.geomspace(*_M_BOX, 32)
-    alphas = {float(m): alpha_m(ModelParams(float(m), -1.0), quad)
+    alphas = {float(m): alpha_m(ModelParams(float(m), -1.0))
               for m in m_values}
     idx = rng.integers(0, len(m_values), samples)
     eb = -(10.0 ** rng.uniform(-1, 1, samples))
@@ -562,7 +561,7 @@ def _case_lhs_monotone(samples, seed, tol, quad, threads=1):
         eb = -float(10.0 ** rng.uniform(-1, 1))
         lam = float(10.0 ** rng.uniform(-2, 2))
         pars = ModelParams(M, eb)
-        a = alpha_m(pars, quad)
+        a = alpha_m(pars)
         mu = eb * np.geomspace(1.0 + 1e-5, 1e3, grid_per_set)
         h = 1e-6 * np.abs(mu)
         slope = (bound_lhs(mu + h, lam, pars, a)
@@ -581,7 +580,7 @@ def _case_alpha_monotone(samples, seed, tol, quad, threads=1):
     difference changes sign exactly once on [0.5, 50]."""
     n = int(min(max(samples, 50), 400))
     m_grid = np.geomspace(0.5, 50.0, n)
-    alphas = np.array([alpha_m(ModelParams(float(m), -1.0), quad)
+    alphas = np.array([alpha_m(ModelParams(float(m), -1.0))
                        for m in m_grid])
     hyp = m_grid / (m_grid + 1.0)
     d_alpha = np.diff(alphas)
@@ -604,8 +603,7 @@ def _case_tau_chain(samples, seed, tol, quad, threads=1):
         pars = ModelParams(M, -1.0)
         for lam in (0.5, 1.0, 2.0):
             mu_grid = pars.binding_energy * np.array([1.5, 2.0, 5.0, 10.0, 100.0])
-            row = verify_bound_chain(pars, lam, mu_grid, quad=quad,
-                                     tolerance=tol)
+            row = verify_bound_chain(pars, lam, mu_grid, tolerance=tol)
             total += row.samples_run
             if row.max_violation > violation:
                 violation = row.max_violation

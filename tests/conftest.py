@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,23 @@ def integrand_calls(monkeypatch):
         monkeypatch.setattr(module, "adaptive_gk15", counting)
         return calls
     return install
+
+
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    """Patch every ``polaron2d`` module's ``adaptive_gk15`` binding to
+    record the interval of each call; returns the list of intervals."""
+    import polaron2d._quad as _quad
+
+    calls = []
+    real = _quad.adaptive_gk15
+
+    def counting(f, a, b, *args, **kwargs):
+        calls.append((a, b))
+        return real(f, a, b, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "polaron2d" and \
+                getattr(module, "adaptive_gk15", None) is real:
+            monkeypatch.setattr(module, "adaptive_gk15", counting)
+    return calls

@@ -3,7 +3,7 @@
 Everything here is deliberately coded on a different path from the
 package: closed-form antiderivatives, plain bisection, brute-force grid
 scans, and scipy.integrate quadrature (the package integrates with its
-own Gauss-Kronrod routines).
+own Gauss-Kronrod routines, and evaluates alpha(M) in closed form).
 """
 
 from __future__ import annotations
@@ -14,21 +14,22 @@ import numpy as np
 from scipy import integrate
 
 
-def alpha_closed(M: float) -> float:
-    """Closed form of the mass constant.
+def alpha_quad(M: float) -> float:
+    """Mass constant from its defining integral, by scipy.integrate.quad.
 
-    Split the integral at the kink u* = 1/(M+1).  On [0, u*] the integrand
-    is 1/(M+1-u) with antiderivative -log(M+1-u).  On [u*, 1] substitute
-    v = M+1-u, which turns the integrand into M/v^2 + 1/((M+2)v); the
-    limits become v* = M(M+2)/(M+1) down to M.  Collecting terms:
+        alpha(M) = 1/(2(M+1)) + (1/2) int_0^1 du / (beta(u) (M+1-u)),
+        beta(u) = min{1, (M+1-u)(M+2)/(M^2+3M+1-u)}.
 
-        alpha(M) = 1/(2(M+1)) + (1/2) [ log((M+1)^2 / (M(M+2)))
-                   + 1/(M+2) + log((M+2)/(M+1)) / (M+2) ].
+    beta is recoded here, and the kink u* = 1/(M+1) where its two branches
+    cross is passed to QUADPACK as a break point.
     """
-    return (0.5 / (M + 1.0)
-            + 0.5 * (math.log((M + 1.0) ** 2 / (M * (M + 2.0)))
-                     + 1.0 / (M + 2.0)
-                     + math.log((M + 2.0) / (M + 1.0)) / (M + 2.0)))
+    def integrand(u):
+        b = min(1.0, (M + 1.0 - u) * (M + 2.0) / (M * M + 3.0 * M + 1.0 - u))
+        return 1.0 / (b * (M + 1.0 - u))
+
+    val, _ = integrate.quad(integrand, 0.0, 1.0, points=[1.0 / (M + 1.0)],
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+    return 0.5 / (M + 1.0) + 0.5 * val
 
 
 def bisect(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 400):
@@ -59,8 +60,8 @@ def gamma_equation(g: float, M: float, alpham: float) -> float:
 
 
 def gamma_by_bisection(M: float, tol: float = 1e-12) -> float:
-    """Bisection root of the dimensionless equation with closed-form alpha."""
-    a = alpha_closed(M)
+    """Bisection root of the dimensionless equation with quadrature alpha."""
+    a = alpha_quad(M)
     lo, hi = 1.0 + 1e-12, 2.0
     while gamma_equation(hi, M, a) < 0:
         hi *= 2.0
@@ -72,7 +73,7 @@ def critical_mass_grid(step: float = 1e-4, lo: float = 1.0,
                        hi: float = 1.5) -> float:
     """Brute-force sign-change scan of alpha(M) - M/(M+1)."""
     m = np.arange(lo, hi + step, step)
-    margin = np.array([alpha_closed(float(x)) for x in m]) - m / (m + 1.0)
+    margin = np.array([alpha_quad(float(x)) for x in m]) - m / (m + 1.0)
     sign_flip = np.nonzero(np.diff(np.sign(margin)) != 0)[0]
     assert len(sign_flip) == 1, "expected exactly one sign change"
     i = int(sign_flip[0])

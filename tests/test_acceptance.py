@@ -25,7 +25,7 @@ from polaron2d.verify import (_case_momentum_bounds, _case_resolvent_tail,
                               _case_sigma_minus, _case_u_integral,
                               verify_rearrangement)
 
-from oracles import (alpha_closed, cartesian_annulus_integral,
+from oracles import (alpha_quad, cartesian_annulus_integral,
                      critical_mass_grid, envelope_integral_radial)
 
 
@@ -62,7 +62,7 @@ def test_criterion_1_critical_mass():
 def test_criterion_2_alpha_oracle_equivalence():
     gate = _Gate(2, "alpha(M) oracle equivalence", 1.0)
     for M in (0.5, 1.0, 1.225, 2.0, 5.0, 50.0):
-        assert abs(alpha_m(ModelParams(M, -1.0)) - alpha_closed(M)) <= 1e-10
+        assert abs(alpha_m(ModelParams(M, -1.0)) - alpha_quad(M)) <= 1e-10
     gate.done()
 
 

@@ -10,7 +10,7 @@ from polaron2d import (KernelPoint, ModelParams, QuadratureSpec, a_scale,
                        coupling_alpha, envelope_cutoff_integral, j_weight,
                        kernel_envelope)
 
-from oracles import alpha_closed, envelope_integral_radial
+from oracles import alpha_quad, envelope_integral_radial
 
 
 class TestTypes:
@@ -84,9 +84,13 @@ class TestBeta:
 
 
 class TestAlphaM:
-    @pytest.mark.parametrize("M", [0.5, 1.0, 1.225, 2.0, 5.0, 50.0])
+    @pytest.mark.parametrize("M", [0.5, 1.0, 1.225, 2.0, 5.0, 50.0,
+                                   1e-3, 1e3, 1e6])
     def test_matches_closed_form(self, M):
-        assert abs(alpha_m(ModelParams(M, -1.0)) - alpha_closed(M)) < 1e-10
+        # the closed form against a quadrature of the defining integral
+        got, want = alpha_m(ModelParams(M, -1.0)), alpha_quad(M)
+        assert abs(got - want) < 1e-10
+        assert abs(got - want) <= 1e-12 * want
 
     def test_threshold_margin(self):
         # the sufficient condition M > 1.225 must hold with a strict margin

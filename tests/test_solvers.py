@@ -2,13 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polaron2d import (CutoffChoice, ModelParams, RangeError, RootFindSpec,
-                       SupercriticalMass, alpha_m, bound_lhs, critical_mass,
-                       optimize_lambda, solve_gamma, solve_mu)
+from polaron2d import (BracketFailure, CutoffChoice, ModelParams, RangeError,
+                       RootFindSpec, SupercriticalMass, alpha_m, bound_lhs,
+                       critical_mass, optimize_lambda, solve_gamma, solve_mu,
+                       verify_disk_area)
 
-from oracles import (alpha_closed, bisect, count_local_maxima,
-                     critical_mass_grid, gamma_by_bisection, lambda_grid_scan)
+from oracles import (bisect, count_local_maxima, critical_mass_grid,
+                     gamma_by_bisection, lambda_grid_scan)
+
+# BoundResult.iterations of solve_mu(ModelParams(M, E_B), ratio * |E_B|)
+# as recorded when the left side was evaluated through the numpy bound_lhs
+# and alpha(M) by GK15 quadrature; None where solve_mu raised BracketFailure
+# because mu lies beyond the float range.
+RECORDED_ITERATIONS = {
+    (1.23, -1.0, 1e-2): None, (1.23, -1.0, 1.0): 277, (1.23, -1.0, 1e2): 15,
+    (1.23, -1e6, 1e-2): None, (1.23, -1e6, 1.0): 277, (1.23, -1e6, 1e2): 15,
+    (2.0, -1.0, 1e-2): 22, (2.0, -1.0, 1.0): 14, (2.0, -1.0, 1e2): 14,
+    (2.0, -1e6, 1e-2): 22, (2.0, -1e6, 1.0): 14, (2.0, -1e6, 1e2): 14,
+    (50.0, -1.0, 1e-2): 9, (50.0, -1.0, 1.0): 10, (50.0, -1.0, 1e2): 14,
+    (50.0, -1e6, 1e-2): 9, (50.0, -1e6, 1.0): 10, (50.0, -1e6, 1e2): 14,
+}
+SOLVED = [key for key, n in RECORDED_ITERATIONS.items() if n is not None]
 
 
 class TestSolveMu:
@@ -67,12 +84,11 @@ class TestSolveGamma:
         # desk estimate "about 20.3", refined by the oracle run
         assert got == pytest.approx(20.312228625, abs=1e-6)
 
-    @pytest.mark.parametrize("M", [1.5, 2.0, 5.0, 20.0])
+    @pytest.mark.parametrize("M", [1.23, 1.5, 2.0, 5.0, 20.0, 50.0])
     def test_consistent_with_binding_scale_bound(self, M):
-        pars = ModelParams(M, -1.0)
-        res = solve_mu(pars, 1.0)  # lam = -E_B = 1
-        assert solve_gamma(M) == pytest.approx(res.mu / pars.binding_energy,
-                                               rel=1e-8)
+        # solve_gamma is solve_mu at lam = -E_B = 1, so the two agree exactly
+        res = solve_mu(ModelParams(M, -1.0), 1.0)
+        assert solve_gamma(M) == res.gamma
 
     def test_above_one_over_mass_scan(self):
         for M in np.linspace(1.3, 50.0, 25):
@@ -163,6 +179,58 @@ class TestOptimizeLambda:
     def test_requires_optimize_choice(self, params_m2):
         with pytest.raises(ValueError):
             optimize_lambda(params_m2, CutoffChoice.fixed(1.0))
+
+
+class TestFloatSolver:
+    """solve_mu evaluates the bound equation on floats, with a closed-form
+    alpha(M); the bracket and Brent path must be those of bound_lhs."""
+
+    def test_recorded_iteration_counts(self):
+        # The recorded quadrature alpha(M) is about 1e-15 relative off the
+        # closed form.  Brent's last steps act on residuals at roundoff
+        # level, where that can turn one interpolation step into a
+        # bisection step (measured: +2 at M = 2, E_B = -1, ratio 1e-2).
+        moved = 0
+        for (M, eb, ratio), want in RECORDED_ITERATIONS.items():
+            pars = ModelParams(M, eb)
+            if want is None:
+                with pytest.raises(BracketFailure, match="floating-point"):
+                    solve_mu(pars, ratio * -eb)
+                continue
+            got = solve_mu(pars, ratio * -eb).iterations
+            assert abs(got - want) <= 2, (M, eb, ratio, got, want)
+            moved += got != want
+        assert moved <= 1
+
+    @pytest.mark.parametrize("M, eb, ratio", SOLVED)
+    def test_residual_matches_bound_lhs(self, M, eb, ratio):
+        pars = ModelParams(M, eb)
+        lam = ratio * -eb
+        res = solve_mu(pars, lam)
+        assert abs(res.residual
+                   - bound_lhs(res.mu, lam, pars, res.alpha_M)) <= 1e-12
+        assert res.gamma == res.mu / eb
+
+    @given(M=st.floats(1.3, 50.0), log_ratio=st.floats(-2.0, 2.0),
+           s=st.floats(1.0, 1e6))
+    @settings(max_examples=60, deadline=None)
+    def test_scale_covariance(self, M, log_ratio, s):
+        # the bound equation is invariant under (mu, lam, E_B) -> s(...)
+        ratio = 10.0 ** log_ratio
+        base = solve_mu(ModelParams(M, -1.0), ratio).mu
+        scaled = solve_mu(ModelParams(M, -s), s * ratio).mu
+        assert scaled == pytest.approx(s * base, rel=1e-10)
+
+    def test_no_quadrature_in_the_solvers(self, params_m2, quadrature_calls):
+        alpha_m(params_m2)
+        solve_mu(params_m2, 1.0)
+        solve_gamma(2.0)
+        critical_mass()
+        optimize_lambda(params_m2, CutoffChoice.optimize(1e-3, 1e3))
+        assert quadrature_calls == []
+        # the counter does see quadratures made elsewhere in the package
+        verify_disk_area(1.0)
+        assert len(quadrature_calls) == 1
 
 
 class TestCutoffChoice:
