@@ -3,8 +3,12 @@
 Every integral the package does not have in closed form goes through the
 routines here; the angular integrals of the C estimate and of the
 rearrangement check are elementary and are evaluated exactly by their
-callers.  The test suite deliberately uses scipy.integrate for its
-oracles, so the two integration paths never share code.
+callers.  ``adaptive_gk15`` integrates one function; ``lockstep_gk15``
+runs the same algorithm for many integrands at once, batching only their
+evaluations, which is what the C grid scan uses.  Both share one
+convergence test and one failure message.  The test suite deliberately
+uses scipy.integrate for its oracles, so the two integration paths never
+share code.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["QuadratureError", "adaptive_gk15", "arc_adaptive_batch", "leggauss"]
+__all__ = ["QuadratureError", "adaptive_gk15", "arc_adaptive_batch",
+           "leggauss", "lockstep_gk15"]
 
 
 class QuadratureError(RuntimeError):
@@ -55,7 +60,23 @@ def leggauss(n: int):
     return x, w
 
 
+def _converged(total: float, total_err: float, total_abs: float,
+               rel_tol: float, abs_tol: float) -> bool:
+    # round-off floor: below this the error estimate is noise
+    floor = 50.0 * _EPS * total_abs
+    return total_err <= max(abs_tol, rel_tol * abs(total), floor)
+
+
+def _budget_error(a: float, b: float, total_err: float,
+                  max_subdivisions: int) -> QuadratureError:
+    return QuadratureError(
+        f"integral over [{a}, {b}] did not converge: "
+        f"estimated error {total_err:.3e} after {max_subdivisions} subdivisions"
+    )
+
+
 def _panel(f, lo: float, hi: float):
+    # on plain floats, not numpy scalars: every scalar bisection runs this
     half = 0.5 * (hi - lo)
     x = 0.5 * (hi + lo) + half * _XK
     y = np.asarray(f(x), dtype=float)
@@ -65,6 +86,28 @@ def _panel(f, lo: float, hi: float):
     return ik, abs(ik - ig), resabs
 
 
+def _gk15(y, half):
+    """Kronrod values, error estimates and |f| integrals of GK15 panels
+    whose 15 node values lie along the last axis of ``y``."""
+    ik = half * (y @ _WK)
+    err = np.abs(ik - half * (y[..., 1::2] @ _WG))
+    resabs = half * (np.abs(y) @ _WK)
+    return ik, err, resabs
+
+
+def _nodes(lo, hi):
+    """GK15 nodes of the panels [lo, hi] (one row each) and half-widths."""
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * _XK, half
+
+
+def _heap(edges, ik, err):
+    heap = [(-e, i, lo, hi, k, e) for i, (lo, hi, k, e) in enumerate(
+        zip(edges[:-1], edges[1:], ik.tolist(), err.tolist()))]
+    heapq.heapify(heap)
+    return heap
+
+
 def _first_pass(f, a: float, b: float, panels: int):
     """``panels`` equal GK15 panels of [a, b] in one call of ``f``.
 
@@ -72,17 +115,11 @@ def _first_pass(f, a: float, b: float, panels: int):
     values, error estimates and |f| integrals.
     """
     edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * _XK
+    x, half = _nodes(edges[:-1], edges[1:])
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    ik = half * (y @ _WK)
-    err = np.abs(ik - half * (y[:, 1::2] @ _WG))
-    resabs = half * (np.abs(y) @ _WK)
-    heap = [(-e, i, lo, hi, k, e) for i, (lo, hi, k, e) in enumerate(
-        zip(edges[:-1].tolist(), edges[1:].tolist(), ik.tolist(),
-            err.tolist()))]
-    heapq.heapify(heap)
-    return heap, float(ik.sum()), float(err.sum()), float(resabs.sum())
+    ik, err, resabs = _gk15(y, half)
+    return (_heap(edges.tolist(), ik, err), float(ik.sum()), float(err.sum()),
+            float(resabs.sum()))
 
 
 def adaptive_gk15(f, a: float, b: float, rel_tol: float, abs_tol: float,
@@ -106,9 +143,7 @@ def adaptive_gk15(f, a: float, b: float, rel_tol: float, abs_tol: float,
         heap, total, total_err, total_abs = _first_pass(f, a, b, panels)
     counter = panels
     for _ in range(max_subdivisions):
-        # round-off floor: below this the error estimate is noise
-        floor = 50.0 * _EPS * total_abs
-        if total_err <= max(abs_tol, rel_tol * abs(total), floor):
+        if _converged(total, total_err, total_abs, rel_tol, abs_tol):
             return total
         neg_err, _, lo, hi, ik0, err0 = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -120,13 +155,74 @@ def adaptive_gk15(f, a: float, b: float, rel_tol: float, abs_tol: float,
         heapq.heappush(heap, (-err1, counter, lo, mid, ik1, err1))
         heapq.heappush(heap, (-err2, counter + 1, mid, hi, ik2, err2))
         counter += 2
-    floor = 50.0 * _EPS * total_abs
-    if total_err <= max(abs_tol, rel_tol * abs(total), floor):
+    if _converged(total, total_err, total_abs, rel_tol, abs_tol):
         return total
-    raise QuadratureError(
-        f"integral over [{a}, {b}] did not converge: "
-        f"estimated error {total_err:.3e} after {max_subdivisions} subdivisions"
-    )
+    raise _budget_error(a, b, total_err, max_subdivisions)
+
+
+def lockstep_gk15(f, n: int, a: float, b: float, rel_tol: float,
+                  abs_tol: float, max_subdivisions: int = 200,
+                  panels: int = 1):
+    """Integrate ``n`` integrands over [a, b], all in lockstep.
+
+    ``f(x, rows)`` evaluates integrand ``rows[i]`` at the abscissae
+    ``x[i]``: ``x`` is 2-D with one row per entry of the integer array
+    ``rows``, and the values come back in the same shape.  Every integrand
+    runs exactly the algorithm of :func:`adaptive_gk15` (first pass,
+    worst-panel order, convergence test and budget); only the evaluations
+    are batched, into one call of ``f`` for the first pass of all
+    integrands and then one call per round for the two halves of the worst
+    panel of every integrand not yet converged.
+
+    Returns ``(values, failures)``: an (n,) array, and a list holding
+    ``None`` for each converged integrand and the QuadratureError that
+    :func:`adaptive_gk15` would raise for each other one.  Raising is left
+    to the caller, which may have to order these against its own errors.
+    """
+    failures = [None] * n
+    if a == b or n == 0:
+        return np.zeros(n), failures
+    edges = np.linspace(a, b, panels + 1)
+    x, half = _nodes(edges[:-1], edges[1:])
+    rows = np.arange(n)
+    y = np.asarray(f(np.broadcast_to(x.ravel(), (n, x.size)), rows),
+                   dtype=float).reshape(n, *x.shape)
+    ik, err, resabs = _gk15(y, half)
+    edge_list = edges.tolist()
+    heaps = [_heap(edge_list, ik[i], err[i]) for i in range(n)]
+    total = ik.sum(axis=1).tolist()
+    total_err = err.sum(axis=1).tolist()
+    total_abs = resabs.sum(axis=1).tolist()
+    counter = panels
+    active = list(range(n))
+    for _ in range(max_subdivisions):
+        active = [i for i in active if not _converged(
+            total[i], total_err[i], total_abs[i], rel_tol, abs_tol)]
+        if not active:
+            break
+        popped = [heapq.heappop(heaps[i]) for i in active]
+        bounds = np.array([(lo, 0.5 * (lo + hi), hi)
+                           for _, _, lo, hi, _, _ in popped])
+        x, half = _nodes(bounds[:, [0, 1]].ravel(), bounds[:, [1, 2]].ravel())
+        m = len(active)
+        y = np.asarray(f(x.reshape(m, -1), np.array(active)),
+                       dtype=float).reshape(x.shape)
+        ik, err, resabs = (v.reshape(m, 2).tolist() for v in _gk15(y, half))
+        for j, i in enumerate(active):
+            _, _, lo, hi, ik0, err0 = popped[j]
+            mid = 0.5 * (lo + hi)
+            (ik1, ik2), (err1, err2), (ra1, ra2) = ik[j], err[j], resabs[j]
+            total[i] += ik1 + ik2 - ik0
+            total_err[i] += err1 + err2 - err0
+            total_abs[i] += ra1 + ra2
+            heapq.heappush(heaps[i], (-err1, counter, lo, mid, ik1, err1))
+            heapq.heappush(heaps[i], (-err2, counter + 1, mid, hi, ik2, err2))
+        counter += 2
+    for i in active:
+        if not _converged(total[i], total_err[i], total_abs[i], rel_tol,
+                          abs_tol):
+            failures[i] = _budget_error(a, b, total_err[i], max_subdivisions)
+    return np.array(total), failures
 
 
 def arc_adaptive_batch(f, lo, hi, rel_tol: float, abs_tol: float,

@@ -16,10 +16,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._parallel import parallel_map
-from ._quad import adaptive_gk15
+from ._quad import adaptive_gk15, lockstep_gk15
 from .corefuncs import ModelParams, QuadratureSpec
 
 __all__ = [
@@ -36,6 +35,26 @@ class TailBoundExceeded(RuntimeError):
 
 class BoundaryMaximizerWarning(UserWarning):
     """The estimated maximiser sits on the search-box boundary."""
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    Importing scipy.optimize takes longer than most commands run, and only
+    the refinement of the C estimate needs it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
+
+
+# Mesh rows per lockstep batch of the C grid scan, fixed so that the values
+# do not depend on the thread count.  A batch shares its integrand calls,
+# and 32 rows is where that gain levels off: the coarse M = 2 scan took
+# 0.29, 0.21, 0.16, 0.16 and 0.16 s at 8, 16, 32, 128 and all 1575 rows
+# (one core of a 2-core x86-64 host).  Larger batches only grow the
+# temporaries (peak RSS of the c-constant run: 79.0 MB at 32 rows, 80.2 MB
+# with the whole mesh) and leave parallel_map fewer items to share out.
+_GRID_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -248,9 +267,13 @@ def inner_integral_tail_bound(p, Q, tau: float, cfg: CSearchConfig,
     return 2.0 * math.pi * php * w_top / ((M + 2.0) * w_bot * (R - cnorm) ** 2)
 
 
-def _angular_kernel(r: np.ndarray, p_hat, c_vec, B: float,
+def _angular_kernel(r: np.ndarray, p_hat, c_vec, B,
                     M: float) -> np.ndarray:
     """Circle integral of |sigma^-| at radii r, in closed form (batched).
+
+    The components of p_hat and c_vec and B are floats, or arrays that
+    broadcast against r (one row per integrand of a lockstep batch); every
+    operation is elementwise.
 
     With q_hat = r e(theta) + c, both a -+ 2b equal alpha -+ 2d + beta.e
     with d = p_hat.c and beta = 2r((M+1)c -+ p_hat), and alpha > |beta|.
@@ -269,7 +292,7 @@ def _angular_kernel(r: np.ndarray, p_hat, c_vec, B: float,
     angles are subtracted as the argument of z_- conj(z_+).  Anchoring the
     arcs at p_hat keeps the result equivariant under joint rotations.
     """
-    php = math.hypot(p_hat[0], p_hat[1])
+    php = np.hypot(p_hat[0], p_hat[1])
     ux, uy = p_hat[0] / php, p_hat[1] / php
     d = p_hat[0] * c_vec[0] + p_hat[1] * c_vec[1]
     c_par = c_vec[0] * ux + c_vec[1] * uy
@@ -308,6 +331,27 @@ def _angular_kernel(r: np.ndarray, p_hat, c_vec, B: float,
     return 0.5 * M * total
 
 
+def _radial(eta, p_hat, c_vec, B, tau, M: float, cfg: CSearchConfig):
+    """Radial integrand of :func:`inner_integral` at eta = log(q^2).
+
+    p_hat, c_vec, B and tau are as in :func:`_angular_kernel`: floats for
+    one integral, or columns with one row per integrand.
+    """
+    s = np.exp(eta)
+    r = np.sqrt(s)
+    circ = _angular_kernel(r, p_hat, c_vec, B, M)
+    # measure: dq = (1/2) ds dtheta in s = q^2; the 1/q^2 of the
+    # integrand cancels the jacobian of eta = log s
+    return 0.5 * weight(tau + s, cfg.mu, cfg.lam) * circ
+
+
+def _tail_exceeded(tail: float, val: float, quad: QuadratureSpec):
+    return TailBoundExceeded(
+        f"certified tail {tail:.3e} exceeds allowance "
+        f"{quad.tail_truncation_rel:.1e} relative to integral {val:.3e}; "
+        "increase q_mag_max")
+
+
 def inner_integral(p, Q, tau: float, cfg: CSearchConfig, params: ModelParams,
                    _with_tail: bool = False):
     """Momentum integral of :func:`c_integrand` over lam < q^2 <= q_mag_max^2.
@@ -333,24 +377,14 @@ def inner_integral(p, Q, tau: float, cfg: CSearchConfig, params: ModelParams,
     tail = inner_integral_tail_bound(p, Q, tau, cfg, params)
     B = (M / (M + 2.0)) * float(Q @ Q) + M * (tau - cfg.mu)
     quad = cfg.quad
-
-    def radial(eta):
-        s = np.exp(eta)
-        r = np.sqrt(s)
-        circ = _angular_kernel(r, (float(p_hat[0]), float(p_hat[1])),
-                               (float(c_vec[0]), float(c_vec[1])), B, M)
-        # measure: dq = (1/2) ds dtheta in s = q^2; the 1/q^2 of the
-        # integrand cancels the jacobian of eta = log s
-        return 0.5 * weight(tau + s, cfg.mu, cfg.lam) * circ
-
-    val = adaptive_gk15(radial, math.log(cfg.lam), 2.0 * math.log(cfg.q_mag_max),
+    ph = (float(p_hat[0]), float(p_hat[1]))
+    cv = (float(c_vec[0]), float(c_vec[1]))
+    val = adaptive_gk15(lambda eta: _radial(eta, ph, cv, B, tau, M, cfg),
+                        math.log(cfg.lam), 2.0 * math.log(cfg.q_mag_max),
                         quad.rel_tol, quad.abs_tol, quad.max_subdivisions,
                         panels=8)
     if tail > quad.tail_truncation_rel * val + quad.abs_tol:
-        raise TailBoundExceeded(
-            f"certified tail {tail:.3e} exceeds allowance "
-            f"{quad.tail_truncation_rel:.1e} relative to integral {val:.3e}; "
-            "increase q_mag_max")
+        raise _tail_exceeded(tail, val, quad)
     if _with_tail:
         return val, tail
     return val
@@ -363,6 +397,67 @@ def _objective(z, cfg: CSearchConfig, params: ModelParams) -> float:
     return weight(tau + psq, cfg.mu, cfg.lam) * inner
 
 
+def _objective_chunk(chunk: np.ndarray, cfg: CSearchConfig,
+                     params: ModelParams) -> np.ndarray:
+    """:func:`_objective` at every row (|Q|, p_par, p_perp, tau) of chunk.
+
+    The radial integrals of all rows run in lockstep (:func:`lockstep_gk15`)
+    with the integrand of :func:`inner_integral`.  Rows fail as the loop
+    ``[_objective(z) for z in chunk]`` would: each row's errors are
+    collected in the order inner_integral meets them (degenerate tail,
+    exhausted budget, exceeded tail), and the first one in row order is
+    raised.
+    """
+    M = params.mass_ratio
+    quad = cfg.quad
+    q_mag, p_par, p_perp, tau = chunk.T
+    c_x = q_mag / (M + 2.0)
+    ph_x = p_par + c_x
+    errors = [None] * len(chunk)
+    tails = np.zeros(len(chunk))
+    live = []  # rows to integrate; p_hat = 0 gives 0
+    for i in np.flatnonzero(np.hypot(ph_x, p_perp) > 0.0).tolist():
+        try:
+            tails[i] = inner_integral_tail_bound(
+                (p_par[i], p_perp[i]), (q_mag[i], 0.0), tau[i], cfg, params)
+        except TailBoundExceeded as exc:
+            errors[i] = exc
+        else:
+            live.append(i)
+    live = np.array(live, dtype=int)
+    B = (M / (M + 2.0)) * (q_mag * q_mag) + M * (tau - cfg.mu)
+    cols = [v[live, None] for v in (ph_x, p_perp, c_x, B, tau)]
+
+    def radial(eta, rows):
+        px, py, cx, b, t = (v[rows] for v in cols)
+        return _radial(eta, (px, py), (cx, 0.0), b, t, M, cfg)
+
+    vals, failures = lockstep_gk15(
+        radial, len(live), math.log(cfg.lam), 2.0 * math.log(cfg.q_mag_max),
+        quad.rel_tol, quad.abs_tol, quad.max_subdivisions, panels=8)
+    inner = np.zeros(len(chunk))
+    inner[live] = vals
+    for i, exc in zip(live.tolist(), failures):
+        errors[i] = exc
+    for i in np.flatnonzero(tails > quad.tail_truncation_rel * inner
+                            + quad.abs_tol).tolist():
+        errors[i] = errors[i] or _tail_exceeded(tails[i], inner[i], quad)
+    first = next((exc for exc in errors if exc is not None), None)
+    if first is not None:
+        raise first
+    psq = p_par * p_par + p_perp * p_perp
+    return weight(tau + psq, cfg.mu, cfg.lam) * inner
+
+
+def _grid_values(mesh: np.ndarray, cfg: CSearchConfig, params: ModelParams,
+                 threads: int = 1) -> np.ndarray:
+    """:func:`_objective` at every mesh row, in chunks of _GRID_CHUNK rows."""
+    chunks = [mesh[i:i + _GRID_CHUNK]
+              for i in range(0, len(mesh), _GRID_CHUNK)]
+    return np.concatenate(parallel_map(
+        lambda c: _objective_chunk(c, cfg, params), chunks, threads))
+
+
 def estimate_C(cfg: CSearchConfig, params: ModelParams,
                threads: int = 1) -> CEstimate:
     """Estimate C = sup weight(tau + p^2) * inner_integral over the box.
@@ -370,8 +465,10 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams,
     Coarse grid scan over (|Q|, p_par, p_perp, tau) followed by
     refine_iters rounds of simplex descent restarted from the best five
     points (tau searched in log scale).  The running maximum per level is
-    recorded in refinement_trace.  Grid evaluation is an order-independent
-    parallel map; results do not depend on the thread count.
+    recorded in refinement_trace.  The grid is evaluated in fixed chunks of
+    _GRID_CHUNK mesh rows, each integrated in lockstep, spread over the
+    threads by an order-preserving parallel map; results do not depend on
+    the thread count.
     """
     M = params.mass_ratio
     qmag = cfg.qmag_grid.values()
@@ -381,8 +478,7 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams,
     mesh = np.stack(np.meshgrid(qmag, ppar, pperp, tau, indexing="ij"),
                     axis=-1).reshape(-1, 4)
 
-    values = np.array(parallel_map(lambda z: _objective(z, cfg, params),
-                                   mesh, threads))
+    values = _grid_values(mesh, cfg, params, threads)
 
     order = np.argsort(-values, kind="stable")
     candidates = [(float(values[i]), tuple(mesh[i])) for i in order[:5]]

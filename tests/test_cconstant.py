@@ -11,8 +11,9 @@ from polaron2d import (BoundaryMaximizerWarning, CSearchConfig, GridSpec,
                        inner_integral, inner_integral_tail_bound, scan_C_vs_M,
                        weight)
 
-from polaron2d import cconstant
-from polaron2d.cconstant import _angular_kernel
+from polaron2d import QuadratureError, cconstant
+from polaron2d.cconstant import (_GRID_CHUNK, _angular_kernel, _grid_values,
+                                 _objective, _objective_chunk)
 
 from oracles import (c_integrand_scalar, cartesian_annulus_integral,
                      sigma_minus_circle_quad)
@@ -299,6 +300,118 @@ class TestEstimateC:
         # for this mass the objective keeps growing towards the tau floor
         with pytest.warns(BoundaryMaximizerWarning):
             estimate_C(small_cfg, params_m2)
+
+
+def grid_mesh(cfg):
+    """The (|Q|, p_par, p_perp, tau) mesh of estimate_C's grid scan."""
+    axes = [cfg.qmag_grid.values(), cfg.ppar_grid.values(),
+            cfg.pperp_grid.values(), cfg.tau_grid.values()]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+
+
+def first_loop_error(mesh, cfg, params):
+    """The error the per-point loop [_objective(z) for z in mesh] raises."""
+    for z in mesh:
+        try:
+            _objective(z, cfg, params)
+        except Exception as exc:  # noqa: BLE001 - the error is the result
+            return exc
+    return None
+
+
+# Most lockstep rounds one chunk of the small-config grid needs at M = 2
+# (chunks need 0, 0, 0, 4, 5 and 4 rounds after the first pass).
+_SMALL_GRID_MAX_ROUNDS = 5
+
+
+class TestGridScan:
+    """The lockstep grid scan against the per-point loop it replaces."""
+
+    @pytest.mark.parametrize("M", [0.5, 2.0, 5.0])
+    def test_matches_per_point_loop(self, M, small_cfg):
+        params = ModelParams(M, -1.0)
+        mesh = grid_mesh(small_cfg)
+        loop = np.array([_objective(z, small_cfg, params) for z in mesh])
+        batched = _grid_values(mesh, small_cfg, params)
+        assert np.any(loop == 0.0)  # the mesh holds p_hat = 0 points
+        assert np.all((batched == 0.0) == (loop == 0.0))
+        assert np.max(np.abs(batched - loop) / np.maximum(loop, 1e-300)) \
+            <= 1e-14
+
+    def test_thread_count_invariance_uneven_split(self, params_m2,
+                                                  small_cfg):
+        # 6 chunks over 3 threads: parallel_map's 12-way split leaves
+        # workers with unequal shares
+        mesh = grid_mesh(small_cfg)
+        assert len(mesh) == 180 and _GRID_CHUNK == 32
+        assert np.array_equal(_grid_values(mesh, small_cfg, params_m2, 3),
+                              _grid_values(mesh, small_cfg, params_m2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            e1 = estimate_C(small_cfg, params_m2, threads=1)
+            e3 = estimate_C(small_cfg, params_m2, threads=3)
+        assert e1 == e3
+
+    def test_radial_calls_per_chunk(self, params_m2, small_cfg,
+                                    monkeypatch):
+        # one integrand call for the first pass of a chunk and one per
+        # lockstep round; the per-point loop makes one per point per panel
+        calls = []
+        real = cconstant._radial
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(cconstant, "_radial", counting)
+        mesh = grid_mesh(small_cfg)
+        _grid_values(mesh, small_cfg, params_m2)
+        chunks = -(-len(mesh) // _GRID_CHUNK)
+        assert chunks <= len(calls) <= chunks * (1 + _SMALL_GRID_MAX_ROUNDS)
+
+    @pytest.mark.parametrize("at", [0, 13, 31])
+    def test_exceeded_tail_raises_as_inner_integral(self, params_m2,
+                                                    small_cfg, at):
+        # at q_mag_max = 250 no point of the small mesh exceeds its tail
+        # allowance; a row with tau = 1e6 does
+        cfg = replace(small_cfg, q_mag_max=250.0)
+        chunk = grid_mesh(cfg)[:_GRID_CHUNK].copy()
+        assert first_loop_error(chunk, cfg, params_m2) is None
+        chunk[at] = (2.0, 1.0, 0.5, 1e6)
+        with pytest.raises(TailBoundExceeded) as want:
+            inner_integral((1.0, 0.5), (2.0, 0.0), 1e6, cfg, params_m2)
+        with pytest.raises(TailBoundExceeded) as got:
+            _objective_chunk(chunk, cfg, params_m2)
+        assert str(got.value) == str(want.value)
+        assert "exceeds allowance" in str(got.value)
+
+    @pytest.mark.parametrize("degenerate_first", [True, False])
+    def test_first_error_in_mesh_order(self, params_m2, small_cfg,
+                                       degenerate_first):
+        # |Q| = 600 makes the tail bound degenerate at q_mag_max = 250; the
+        # earlier of the two bad rows decides the error, as in the loop
+        cfg = replace(small_cfg, q_mag_max=250.0)
+        chunk = grid_mesh(cfg)[:_GRID_CHUNK].copy()
+        rows = [(600.0, 1.0, 0.5, 1.0), (2.0, 1.0, 0.5, 1e6)]
+        chunk[[5, 20]] = rows if degenerate_first else rows[::-1]
+        want = first_loop_error(chunk, cfg, params_m2)
+        assert isinstance(want, TailBoundExceeded)
+        assert ("degenerates" in str(want)) == degenerate_first
+        with pytest.raises(TailBoundExceeded) as got:
+            _objective_chunk(chunk, cfg, params_m2)
+        assert str(got.value) == str(want)
+
+    def test_budget_exhaustion_raises_as_scalar_path(self, params_m2,
+                                                     small_cfg):
+        cfg = replace(small_cfg, quad=replace(small_cfg.quad,
+                                              max_subdivisions=1))
+        mesh = grid_mesh(cfg)
+        want = first_loop_error(mesh, cfg, params_m2)
+        assert isinstance(want, QuadratureError)
+        for threads in (1, 3):
+            with pytest.raises(QuadratureError) as got:
+                estimate_C(cfg, params_m2, threads=threads)
+            assert str(got.value) == str(want)
 
 
 class TestScan:

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +10,45 @@ import pytest
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "polaron2d", *args],
                           capture_output=True, text=True, timeout=300)
+
+
+class TestStartup:
+    def test_cli_import_does_not_load_scipy(self):
+        # scipy.optimize takes longer to import than most commands run;
+        # only the C refinement may load it, on first use
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, polaron2d.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_minimize_is_a_module_attribute(self, monkeypatch):
+        # the benchmark tracer (perfbench/tracing.py, Tracer.install) finds
+        # the Nelder-Mead refinement by looking up cconstant.minimize by
+        # name and replaces it there, so estimate_C must call it through
+        # that attribute
+        from polaron2d import GridSpec, ModelParams, coarse_config, estimate_C
+        from polaron2d import cconstant
+
+        calls = []
+        real = cconstant.minimize
+
+        def counting(fun, x0, **kwargs):
+            calls.append(x0)
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(cconstant, "minimize", counting)
+        cfg = replace(coarse_config(), refine_iters=1,
+                      tau_grid=GridSpec(1e-2, 1e2, 2, "log"),
+                      qmag_grid=GridSpec(0.0, 4.0, 2),
+                      ppar_grid=GridSpec(-4.0, 4.0, 3),
+                      pperp_grid=GridSpec(0.0, 4.0, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = estimate_C(cfg, ModelParams(2.0, -1.0))
+        assert len(calls) == 5  # one simplex descent per candidate
+        assert est.value > 0.0
 
 
 class TestBound:

@@ -5,7 +5,7 @@ import pytest
 
 from polaron2d._parallel import parallel_map
 from polaron2d._quad import (QuadratureError, adaptive_gk15,
-                             arc_adaptive_batch, leggauss)
+                             arc_adaptive_batch, leggauss, lockstep_gk15)
 
 
 class TestAdaptiveGK:
@@ -67,6 +67,60 @@ class TestAdaptiveGK:
         assert sizes[0] == 4 * 15 and set(sizes[1:]) == {15}
         reverse = adaptive_gk15(peaked, 1.0, 0.0, 1e-11, 1e-14, panels=4)
         assert reverse == pytest.approx(-val, rel=1e-12)
+
+
+class TestLockstep:
+    """lockstep_gk15 runs adaptive_gk15's algorithm on every row."""
+
+    centres = np.array([0.3, 0.5, 0.71, 0.9])
+    widths = np.array([1e-1, 1e-3, 1e-2, 3e-4])
+
+    def peaked(self, x, rows):
+        c, w = self.centres[rows, None], self.widths[rows, None]
+        return w / ((x - c) ** 2 + w * w)
+
+    @pytest.mark.parametrize("panels", [1, 4])
+    def test_rows_match_scalar_routine(self, panels):
+        shapes = []
+
+        def f(x, rows):
+            shapes.append(x.shape)
+            return self.peaked(x, rows)
+
+        got, failures = lockstep_gk15(f, 4, 0.0, 1.0, 1e-11, 1e-14,
+                                      panels=panels)
+        assert failures == [None] * 4
+        for i in range(4):
+            want = adaptive_gk15(lambda x: self.peaked(x, np.array([i]))[0],
+                                 0.0, 1.0, 1e-11, 1e-14, panels=panels)
+            assert got[i] == pytest.approx(want, rel=1e-15)
+        # one call for the first pass of all rows, then one per round with
+        # the two halves of every unconverged row, fewer rows each time
+        assert shapes[0] == (4, 15 * panels)
+        assert all(k == 30 for _, k in shapes[1:])
+        active = [m for m, _ in shapes[1:]]
+        assert active == sorted(active, reverse=True) and active[-1] == 1
+        assert len(shapes) > 5
+
+    def test_budget_exhaustion_is_reported_per_row(self):
+        # rows need 9, 29, 19 and 31 subdivisions
+        got, failures = lockstep_gk15(self.peaked, 4, 0.0, 1.0, 1e-11, 1e-14,
+                                      max_subdivisions=20)
+        assert failures[0] is None and failures[2] is None
+        assert got[0] == pytest.approx(
+            math.atan(7.0) + math.atan(3.0), rel=1e-11)
+        for i in (1, 3):
+            with pytest.raises(QuadratureError) as want:
+                adaptive_gk15(lambda x: self.peaked(x, np.array([i]))[0],
+                              0.0, 1.0, 1e-11, 1e-14, max_subdivisions=20)
+            assert isinstance(failures[i], QuadratureError)
+            assert str(failures[i]) == str(want.value)
+
+    def test_empty_interval_and_no_rows(self):
+        got, failures = lockstep_gk15(self.peaked, 4, 1.0, 1.0, 1e-11, 1e-14)
+        assert got.tolist() == [0.0] * 4 and failures == [None] * 4
+        got, failures = lockstep_gk15(self.peaked, 0, 0.0, 1.0, 1e-11, 1e-14)
+        assert got.shape == (0,) and failures == []
 
 
 class TestArcBatch:
