@@ -37,14 +37,113 @@ class BoundaryMaximizerWarning(UserWarning):
     """The estimated maximiser sits on the search-box boundary."""
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
+@dataclass(frozen=True)
+class SimplexResult:
+    """Outcome of :func:`minimize`: best vertex, its value, evaluations."""
 
-    Importing scipy.optimize takes longer than most commands run, and only
-    the refinement of the C estimate needs it.
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+class _BudgetSpent(Exception):
+    """The objective was called maxfev times."""
+
+
+def minimize(fun, x0, *, bounds, initial_simplex, maxfev, xatol, fatol):
+    """Minimise the scalar function fun by bounded Nelder-Mead descent.
+
+    The standard simplex method (Lagarias, Reeds, Wright & Wright, SIAM J.
+    Optim. 9 (1998)) with reflection, expansion, contraction and shrink
+    coefficients rho = 1, chi = 2, psi = 1/2, sigma = 1/2.  bounds is a
+    sequence of (lo, hi) pairs, one per coordinate.  Vertices of
+    initial_simplex above hi are first reflected into the box (2 hi - x),
+    then the simplex is clipped to [lo, hi], and so is every trial point:
+    reflection, expansion, both contractions and the shrink.  fun is never
+    called more than maxfev times, even when the budget runs out in the
+    middle of the first evaluations or of a shrink step.  The descent stops
+    there, or once every vertex lies within xatol of the best one and every
+    value within fatol of the best value.  x0 must be the length of a
+    vertex; the descent starts from initial_simplex.
+
+    This reproduces scipy.optimize.minimize(method="Nelder-Mead",
+    adaptive=False) with the same bounds and options operation for
+    operation, down to sorting the vertices with np.argsort (not a stable
+    sort) where scipy does, so that the C estimate and its refinement
+    trace stay bit-identical to the scipy implementation it replaces,
+    without loading scipy at run time.  The tests hold it to scipy.
     """
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(fun, x0, **kwargs)
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    lo, hi = (np.array(b, dtype=float) for b in zip(*bounds))
+    sim = np.array(initial_simplex, dtype=float)
+    n = sim.shape[1]
+    if sim.shape != (n + 1, n) or np.shape(x0) != (n,) or lo.shape != (n,):
+        raise ValueError("need an (n+1, n) simplex, n-vector x0, n bounds")
+    if np.any(lo > hi):
+        raise ValueError("a lower bound exceeds its upper bound")
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(np.copy(x))
+
+    def step():
+        # one iteration, updating sim and fsim in place
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lo, hi)
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lo, hi)
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:  # outside contraction
+            xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lo, hi)
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink()
+        else:  # inside contraction
+            xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink()
+
+    def shrink():
+        for j in range(1, n + 1):
+            sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lo, hi)
+            fsim[j] = f(sim[j])
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return sim[ind], fsim[ind]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # sorted twice, as scipy does: argsort may reorder ties again
+    sim, fsim = by_value(*by_value(sim, fsim))
+    while nfev < maxfev:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        try:
+            step()
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return SimplexResult(x=sim[0], fun=np.min(fsim), nfev=nfev)
 
 
 # Mesh rows per lockstep batch of the C grid scan, fixed so that the values
@@ -501,12 +600,10 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams,
                 v = x0.copy()
                 v[i] = v[i] + step if v[i] + step <= hi[i] else v[i] - step
                 simplex.append(v)
-            res = minimize(neg_obj, x0, method="Nelder-Mead",
-                           bounds=list(zip(lo, hi)),
-                           options={"initial_simplex": np.array(simplex),
-                                    "maxfev": 200, "xatol": 1e-8,
-                                    "fatol": 1e-14, "adaptive": False})
-            x = np.clip(res.x, lo, hi)
+            res = minimize(neg_obj, x0, bounds=list(zip(lo, hi)),
+                           initial_simplex=np.array(simplex), maxfev=200,
+                           xatol=1e-8, fatol=1e-14)
+            x = res.x  # every vertex of the descent lies in the box
             new_candidates.append(
                 (float(-res.fun), (float(x[0]), float(x[1]), float(x[2]),
                                    float(math.exp(x[3])))))

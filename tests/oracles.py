@@ -2,8 +2,9 @@
 
 Everything here is deliberately coded on a different path from the
 package: closed-form antiderivatives, plain bisection, brute-force grid
-scans, and scipy.integrate quadrature (the package integrates with its
-own Gauss-Kronrod routines, and evaluates alpha(M) in closed form).
+scans, scipy.integrate quadrature (the package integrates with its
+own Gauss-Kronrod routines, and evaluates alpha(M) in closed form), and
+scipy.optimize's Nelder-Mead (the package carries its own copy).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 
 def alpha_quad(M: float) -> float:
@@ -30,6 +31,15 @@ def alpha_quad(M: float) -> float:
     val, _ = integrate.quad(integrand, 0.0, 1.0, points=[1.0 / (M + 1.0)],
                             epsabs=0.0, epsrel=1e-13, limit=200)
     return 0.5 / (M + 1.0) + 0.5 * val
+
+
+def scipy_minimize(fun, x0, *, bounds, initial_simplex, maxfev, xatol,
+                   fatol):
+    """cconstant.minimize's call, answered by scipy's bounded Nelder-Mead."""
+    return optimize.minimize(
+        fun, x0, method="Nelder-Mead", bounds=bounds,
+        options={"initial_simplex": initial_simplex, "maxfev": maxfev,
+                 "xatol": xatol, "fatol": fatol, "adaptive": False})
 
 
 def bisect(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 400):

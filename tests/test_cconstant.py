@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -5,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polaron2d import (BoundaryMaximizerWarning, CSearchConfig, GridSpec,
-                       ModelParams, QuadratureSpec, TailBoundExceeded,
-                       c_integrand, coarse_config, estimate_C, fine_config,
+from polaron2d import (BoundaryMaximizerWarning, CEstimate, CSearchConfig,
+                       GridSpec, ModelParams, QuadratureSpec,
+                       TailBoundExceeded, c_integrand, coarse_config,
+                       estimate_C, fine_config,
                        inner_integral, inner_integral_tail_bound, scan_C_vs_M,
                        weight)
 
@@ -16,7 +18,7 @@ from polaron2d.cconstant import (_GRID_CHUNK, _angular_kernel, _grid_values,
                                  _objective, _objective_chunk)
 
 from oracles import (c_integrand_scalar, cartesian_annulus_integral,
-                     sigma_minus_circle_quad)
+                     scipy_minimize, sigma_minus_circle_quad)
 
 
 def rotation(angle):
@@ -243,6 +245,108 @@ class TestInnerIntegral:
         assert 0.0 < tb < 1e-3
 
 
+# A 4-D box and two test functions whose minimiser c lies above the box in
+# the third coordinate.  The weighted Chebyshev distance is not smooth, so
+# contractions fail and the simplex shrinks: its first shrink starts after
+# 30 evaluations.
+NM_LO = np.array([-1.0, -1.0, 0.0, -2.0])
+NM_HI = np.array([1.0, 2.0, 1.0, 0.5])
+NM_C = np.array([0.3, -0.4, 1.5, 0.0])
+NM_W = np.array([1.0, 2.0, 1.0, 3.0])
+NM_SIMPLEX = np.array([[0.5, 0.5, 0.5, 0.0], [0.9, 0.5, 0.5, 0.0],
+                       [0.5, 1.3, 0.5, 0.0], [0.5, 0.5, 0.8, 0.0],
+                       [0.5, 0.5, 0.5, -1.0]])
+
+
+def chebyshev(x):
+    return float(np.max(NM_W * np.abs(x - NM_C)))
+
+
+def quadratic(x):
+    return float(np.sum(NM_W * (x - NM_C) ** 2))
+
+
+def plateaus(x):
+    # the quadratic rounded down to a multiple of 1/2: many vertices tie,
+    # and a stable sort would order them differently from np.argsort
+    return math.floor(2.0 * quadratic(x)) / 2.0
+
+
+def poking_simplex():
+    # two vertices above the upper bound, in the second and fourth axes
+    sim = NM_SIMPLEX.copy()
+    sim[2, 1], sim[4, 3] = 2.6, 0.9
+    return sim
+
+
+class TestNelderMead:
+    """cconstant.minimize against scipy's bounded Nelder-Mead, exactly."""
+
+    CASES = {
+        "bound_active": (chebyshev, NM_SIMPLEX, 300, 1e-8, 1e-12),
+        "simplex_above_upper_bound": (quadratic, poking_simplex(), 100,
+                                      1e-8, 1e-12),
+        "maxfev_in_shrink": (chebyshev, NM_SIMPLEX, 32, 1e-8, 1e-12),
+        "maxfev_in_first_evaluations": (quadratic, NM_SIMPLEX, 3, 1e-8,
+                                        1e-12),
+        "converges": (quadratic, NM_SIMPLEX, 1000, 1e-4, 1e-8),
+        "tied_values": (plateaus, NM_SIMPLEX, 100, 1e-8, 1e-12),
+    }
+
+    @staticmethod
+    def run(minimize, case):
+        fun, sim, maxfev, xatol, fatol = TestNelderMead.CASES[case]
+        points = []
+
+        def logged(x):
+            points.append(x.copy())
+            return fun(x)
+
+        res = minimize(logged, sim[0], bounds=list(zip(NM_LO, NM_HI)),
+                       initial_simplex=sim, maxfev=maxfev, xatol=xatol,
+                       fatol=fatol)
+        return res, np.array(points)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_scipy(self, case):
+        res, points = self.run(cconstant.minimize, case)
+        ref, ref_points = self.run(scipy_minimize, case)
+        assert np.array_equal(res.x, ref.x)
+        assert res.fun == ref.fun
+        assert res.nfev == ref.nfev
+        # the same points were evaluated, in the same order
+        assert np.array_equal(points, ref_points)
+        assert np.all((points >= NM_LO) & (points <= NM_HI))
+
+    def test_cases_reach_their_branch(self):
+        # what makes each case the case its name says
+        res, _ = self.run(cconstant.minimize, "bound_active")
+        assert res.x[2] == NM_HI[2] and res.nfev < 300
+        assert np.any(poking_simplex() > NM_HI)
+        res, _ = self.run(cconstant.minimize, "maxfev_in_shrink")
+        assert res.nfev == 32
+        res, _ = self.run(cconstant.minimize, "maxfev_in_first_evaluations")
+        assert res.nfev == 3
+        res, _ = self.run(cconstant.minimize, "converges")
+        assert res.nfev < 1000
+
+    def test_rejects_inconsistent_shapes(self):
+        bounds = list(zip(NM_LO, NM_HI))
+        with pytest.raises(ValueError):
+            cconstant.minimize(quadratic, NM_SIMPLEX[0, :3], bounds=bounds,
+                               initial_simplex=NM_SIMPLEX, maxfev=10,
+                               xatol=1e-8, fatol=1e-8)
+        with pytest.raises(ValueError):
+            cconstant.minimize(quadratic, NM_SIMPLEX[0], bounds=bounds,
+                               initial_simplex=NM_SIMPLEX[:4], maxfev=10,
+                               xatol=1e-8, fatol=1e-8)
+        with pytest.raises(ValueError):
+            cconstant.minimize(quadratic, NM_SIMPLEX[0],
+                               bounds=list(zip(NM_HI, NM_LO)),
+                               initial_simplex=NM_SIMPLEX, maxfev=10,
+                               xatol=1e-8, fatol=1e-8)
+
+
 class TestEstimateC:
     def test_estimate_properties(self, params_m2, small_cfg):
         with warnings.catch_warnings():
@@ -295,6 +399,26 @@ class TestEstimateC:
             e1 = estimate_C(small_cfg, params_m2, threads=1)
             e4 = estimate_C(small_cfg, params_m2, threads=4)
         assert e1 == e4
+
+    @pytest.mark.parametrize("M", [0.5, 2.0, 5.0])
+    def test_equals_scipy_refinement(self, M, small_cfg, monkeypatch):
+        params = ModelParams(M, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = estimate_C(small_cfg, params)
+            monkeypatch.setattr(cconstant, "minimize", scipy_minimize)
+            ref = estimate_C(small_cfg, params)
+        for f in dataclasses.fields(CEstimate):
+            assert getattr(est, f.name) == getattr(ref, f.name), f.name
+
+    def test_coarse_m2_values(self, params_m2):
+        # the values of the scipy refinement this one replaced, bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = estimate_C(coarse_config(), params_m2)
+        assert est.value == 0.44425585243948806
+        assert tuple(v for _, v in est.refinement_trace) == (
+            0.42571495134582854, 0.44425585243884136, 0.44425585243948806)
 
     def test_boundary_maximiser_warns(self, params_m2, small_cfg):
         # for this mass the objective keeps growing towards the tau floor

@@ -1,8 +1,10 @@
+import ast
 import json
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +14,26 @@ def run_cli(*args):
                           capture_output=True, text=True, timeout=300)
 
 
+SMALL_C_RUN = """
+import sys, warnings
+from dataclasses import replace
+from polaron2d import GridSpec, ModelParams, coarse_config, estimate_C
+cfg = replace(coarse_config(), refine_iters=1,
+              tau_grid=GridSpec(1e-2, 1e2, 2, "log"),
+              qmag_grid=GridSpec(0.0, 4.0, 2),
+              ppar_grid=GridSpec(-4.0, 4.0, 3),
+              pperp_grid=GridSpec(0.0, 4.0, 2))
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    estimate_C(cfg, ModelParams(2.0, -1.0))
+print("scipy" in sys.modules)
+"""
+
+
 class TestStartup:
+    # scipy is a test dependency only: importing scipy.optimize takes
+    # longer than most commands run
     def test_cli_import_does_not_load_scipy(self):
-        # scipy.optimize takes longer to import than most commands run;
-        # only the C refinement may load it, on first use
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, polaron2d.cli; print('scipy' in sys.modules)"],
@@ -23,11 +41,33 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_c_refinement_does_not_load_scipy(self):
+        proc = subprocess.run([sys.executable, "-c", SMALL_C_RUN],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_no_module_imports_scipy(self):
+        import polaron2d
+
+        sources = sorted(Path(polaron2d.__file__).parent.glob("*.py"))
+        assert len(sources) > 5
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n.split(".")[0] == "scipy" for n in names), \
+                    f"{path.name}:{node.lineno} imports scipy"
+
     def test_minimize_is_a_module_attribute(self, monkeypatch):
         # the benchmark tracer (perfbench/tracing.py, Tracer.install) finds
-        # the Nelder-Mead refinement by looking up cconstant.minimize by
-        # name and replaces it there, so estimate_C must call it through
-        # that attribute
+        # the in-house Nelder-Mead refinement by looking up
+        # cconstant.minimize by name and replaces it there, so estimate_C
+        # must call it through that attribute, once per start
         from polaron2d import GridSpec, ModelParams, coarse_config, estimate_C
         from polaron2d import cconstant
 
