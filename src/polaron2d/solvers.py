@@ -6,15 +6,18 @@ cutoff to the binding energy, critical_mass the mass ratio at which the
 bound's hypothesis alpha(M) < M/(M+1) starts to hold, and optimize_lambda
 the cutoff that maximises the bound.
 
-solve_mu is the one root solver of the bound equation: solve_gamma is
-solve_mu at E_B = -1, lam = 1, and optimize_lambda calls it once per
-trial cutoff.  It evaluates the equation on plain floats with ``math``,
-and alpha(M) is a closed form, so no solver runs a quadrature.
+solve_mu is the one root solver of the bound equation, and solve_gamma
+is solve_mu at E_B = -1, lam = 1.  optimize_lambda solves no bound
+equation: the optimal cutoff is the root of a monotone function of
+lam/|mu| that depends on M alone, and the bound follows in closed form.
+Everything runs on plain floats with ``math``, and alpha(M) is a closed
+form, so no solver runs a quadrature.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .corefuncs import ModelParams, alpha_m
@@ -26,6 +29,7 @@ __all__ = [
 ]
 
 _EPS = 7.0 / 3 - 4.0 / 3 - 1.0  # float64 machine epsilon
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class SupercriticalMass(ValueError):
@@ -41,7 +45,7 @@ class NonConvergence(RuntimeError):
 
 
 class RangeError(RuntimeError):
-    """The cutoff optimum sits on the search-range boundary."""
+    """The cutoff optimum lies outside the search range."""
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,22 @@ def _require_subcritical(mass_ratio: float, alpham: float):
             "no N-independent bound is available below the critical mass")
 
 
+def _bound_equation(params: ModelParams, lam: float, alpham: float):
+    """The left side of the bound equation as a float function of mu < 0:
+    :func:`corefuncs.bound_lhs` without its array handling and checks."""
+    eb = params.binding_energy
+    coeff = params.mass_ratio / (params.mass_ratio + 1.0) - alpham
+    inv_lam = 1.0 / lam
+
+    def f(mu):
+        return (coeff * math.log(mu / eb)
+                - math.sqrt(lam / -mu)
+                - math.sqrt(lam / (lam - mu))
+                - alpham * math.log(eb * (1.0 / mu - inv_lam))
+                - alpham)
+    return f
+
+
 def solve_mu(params: ModelParams, lam: float,
              spec: RootFindSpec | None = None,
              alpham: float | None = None) -> BoundResult:
@@ -185,16 +205,7 @@ def solve_mu(params: ModelParams, lam: float,
         alpham = alpha_m(params)
     _require_subcritical(params.mass_ratio, alpham)
     eb = params.binding_energy
-    coeff = params.mass_ratio / (params.mass_ratio + 1.0) - alpham
-    inv_lam = 1.0 / lam
-
-    def f(mu):
-        return (coeff * math.log(mu / eb)
-                - math.sqrt(lam / -mu)
-                - math.sqrt(lam / (lam - mu))
-                - alpham * math.log(eb * (1.0 / mu - inv_lam))
-                - alpham)
-
+    f = _bound_equation(params, lam, alpham)
     right = eb * (1.0 + 1e-9)
     f_right = f(right)
     iterations = 1
@@ -278,18 +289,25 @@ def critical_mass(spec: RootFindSpec | None = None,
     return root
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def optimize_lambda(params: ModelParams, choice: CutoffChoice,
                     spec: RootFindSpec | None = None) -> BoundResult:
     """Maximise the bound mu over the cutoff range of an ``optimize`` choice.
 
-    The search runs in log(lam) by golden section (the natural cutoff
-    scale is multiplicative).  The binding-scale cutoff lam = -E_B is
-    evaluated explicitly when it lies in range, so the returned bound is
-    never worse than that choice.  A maximiser at the range boundary
-    raises RangeError instead of being silently accepted.
+    With g = mu/E_B, x = lam/|mu|, a = alpha(M) and k = (M+1)/M the bound
+    equation reads log g = k phi(x), where
+
+        phi(x) = sqrt(x) + sqrt(x/(1+x)) + a log(1 + 1/x) + a.
+
+    lam/|E_B| = x e^(k phi(x)) increases strictly in x, so the best cutoff
+    is the minimiser x* of phi, the one root of
+
+        h(x) = (sqrt(x)/2) ((1+x) + (1+x)^(-1/2)) - a = x (1+x) phi'(x).
+
+    h increases strictly, and h(a^2/4) < 0 < h(4a^2) since a < 1, so Brent
+    refines y = log x* in that fixed bracket.  x* depends on M alone; mu and
+    lam follow in closed form, and everything up to them stays in logs.
+    An optimum outside the range raises RangeError rather than being
+    clipped to an edge.
     """
     spec = spec or RootFindSpec()
     if choice.mode != "optimize":
@@ -297,45 +315,31 @@ def optimize_lambda(params: ModelParams, choice: CutoffChoice,
     alpham = alpha_m(params)
     _require_subcritical(params.mass_ratio, alpham)
 
-    lo = math.log(choice.lambda_min)
-    hi = math.log(choice.lambda_max)
-    evaluations: dict[float, BoundResult] = {}
+    def h(y):
+        x = math.exp(y)
+        return (0.5 * math.sqrt(x) * (1.0 + x + 1.0 / math.sqrt(1.0 + x))
+                - alpham)
 
-    def mu_at(x: float) -> float:
-        if x not in evaluations:
-            evaluations[x] = solve_mu(params, math.exp(x), spec,
-                                      alpham=alpham)
-        return evaluations[x].mu
-
-    # golden-section maximisation of mu(log lam)
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = mu_at(c), mu_at(d)
-    x_tol_log = max(1e-10, spec.x_tol)
-    while (b - a) > x_tol_log:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = mu_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = mu_at(d)
-
-    binding_lam = -params.binding_energy
-    if choice.lambda_min <= binding_lam <= choice.lambda_max:
-        mu_at(math.log(binding_lam))
-
-    best_x = max(evaluations, key=lambda x: evaluations[x].mu)
-    best = evaluations[best_x]
-    span = hi - lo
-    if best_x - lo < 1e-6 * span or hi - best_x < 1e-6 * span:
+    lo, hi = math.log(0.25 * alpham * alpham), math.log(4.0 * alpham * alpham)
+    y, _, evals = _brent(h, lo, hi, h(lo), h(hi), spec.x_tol, spec.max_iter)
+    x = math.exp(y)
+    t = ((params.mass_ratio + 1.0) / params.mass_ratio
+         * (math.sqrt(x) + math.sqrt(x / (1.0 + x))
+            + alpham * math.log1p(1.0 / x) + alpham))
+    eb = params.binding_energy
+    log_mu = t + math.log(-eb)  # log |mu|; t < 5 for every subcritical M
+    if log_mu > _LOG_MAX:
+        raise BracketFailure(
+            "bound exceeds the floating-point range; |E_B| is too large")
+    if not (math.log(choice.lambda_min) <= y + log_mu
+            <= math.log(choice.lambda_max)):
         raise RangeError(
-            f"cutoff optimum lam = {math.exp(best_x):.6e} sits on the search "
-            f"boundary [{choice.lambda_min:.3e}, {choice.lambda_max:.3e}]; "
-            "widen the range")
-    return BoundResult(mu=best.mu, lambda_used=best.lambda_used,
-                       gamma=best.gamma, alpha_M=alpham,
-                       residual=best.residual, iterations=len(evaluations),
-                       optimized=True)
+            f"cutoff optimum lam = exp({y + log_mu:.6f}) lies outside the "
+            f"search range [{choice.lambda_min:.3e}, "
+            f"{choice.lambda_max:.3e}]; widen the range")
+    gamma = math.exp(t)
+    mu = eb * gamma
+    lam = -x * mu
+    return BoundResult(mu=mu, lambda_used=lam, gamma=gamma, alpha_M=alpham,
+                       residual=_bound_equation(params, lam, alpham)(mu),
+                       iterations=evals + 2, optimized=True)

@@ -3,8 +3,10 @@
 Everything here is deliberately coded on a different path from the
 package: closed-form antiderivatives, plain bisection, brute-force grid
 scans, scipy.integrate quadrature (the package integrates with its
-own Gauss-Kronrod routines, and evaluates alpha(M) in closed form), and
-scipy.optimize's Nelder-Mead (the package carries its own copy).
+own Gauss-Kronrod routines, and evaluates alpha(M) in closed form),
+scipy.optimize's Nelder-Mead (the package carries its own copy), and
+40-digit mpmath roots of the original bound equation (the package
+reduces the cutoff optimum to a root in lam/|mu|).
 """
 
 from __future__ import annotations
@@ -246,3 +248,47 @@ def count_local_maxima(values) -> int:
     v = np.asarray(values)
     interior = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
     return int(np.sum(interior))
+
+
+def optimum_mpmath(M: float, eb: float = -1.0, dps: int = 40):
+    """Optimal cutoff and bound, (lam, mu), by 40-digit mpmath.
+
+    Works on the original form of the bound equation F(mu, lam) = 0 with
+    alpha(M) from its defining integral: mu(lam) is the root of F in mu,
+    found in log(mu/E_B), and the optimum is the root of
+    dmu/dlam = -F_lam/F_mu, i.e. of F_lam(mu(lam), lam), bracketed in
+    [1e-2, 1e2] |E_B|.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        M, eb = mp.mpf(M), mp.mpf(eb)
+
+        def beta(u):
+            return min(1, (M + 1 - u) * (M + 2) / (M * M + 3 * M + 1 - u))
+
+        a = 1 / (2 * (M + 1)) + mp.quad(
+            lambda u: 1 / (beta(u) * (M + 1 - u)), [0, 1 / (M + 1), 1]) / 2
+
+        def F(mu, lam):
+            return ((M / (M + 1) - a) * mp.log(mu / eb)
+                    - mp.sqrt(lam / -mu) - mp.sqrt(lam / (lam - mu))
+                    - a * mp.log(eb * (1 / mu - 1 / lam)) - a)
+
+        def mu_of(lam):
+            def f(s):
+                return F(eb * mp.exp(s), lam)
+            hi = mp.mpf(1)
+            while f(hi) < 0:
+                hi *= 2
+            return eb * mp.exp(mp.findroot(f, (mp.mpf(10) ** -30, hi),
+                                           solver="anderson"))
+
+        def slope(lam):
+            mu = mu_of(lam)
+            return mp.diff(lambda l: F(mu, l), lam)
+
+        lo, hi = mp.mpf("1e-2") * -eb, mp.mpf("1e2") * -eb
+        assert slope(lo) * slope(hi) < 0, "optimum not inside the bracket"
+        lam = mp.findroot(slope, (lo, hi), solver="anderson")
+        return float(lam), float(mu_of(lam))

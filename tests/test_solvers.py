@@ -10,8 +10,9 @@ from polaron2d import (BracketFailure, CutoffChoice, ModelParams, RangeError,
                        critical_mass, optimize_lambda, solve_gamma, solve_mu,
                        verify_disk_area)
 
+import polaron2d.solvers as solvers
 from oracles import (bisect, count_local_maxima, critical_mass_grid,
-                     gamma_by_bisection, lambda_grid_scan)
+                     gamma_by_bisection, lambda_grid_scan, optimum_mpmath)
 
 # BoundResult.iterations of solve_mu(ModelParams(M, E_B), ratio * |E_B|)
 # as recorded when the left side was evaluated through the numpy bound_lhs
@@ -160,17 +161,64 @@ class TestOptimizeLambda:
         i = int(np.argmax(mus))
         assert best.mu >= mus[i] - 1e-12
         assert abs(math.log(best.lambda_used / lams[i])) <= step
-        # the golden-section search assumes a single interior maximum;
-        # the grid cross-checks that assumption
+        # lam/|E_B| = x e^(k phi(x)) increases in x = lam/|mu| and phi has
+        # one minimiser, so mu(lam) has a single interior maximum; the grid
+        # cross-checks that
         assert count_local_maxima(mus) == 1
 
     def test_optimal_cutoff_scales_with_binding_energy(self):
-        b1 = optimize_lambda(ModelParams(2.0, -1.0),
-                             CutoffChoice.optimize(1e-3, 1e3))
-        b2 = optimize_lambda(ModelParams(2.0, -10.0),
-                             CutoffChoice.optimize(1e-2, 1e4))
-        assert b2.lambda_used == pytest.approx(10.0 * b1.lambda_used, rel=1e-6)
-        assert b2.mu == pytest.approx(10.0 * b1.mu, rel=1e-8)
+        # (mu, lam, E_B) -> s(mu, lam, E_B) across the whole float range
+        base = optimize_lambda(ModelParams(2.0, -1.0),
+                               CutoffChoice.optimize(1e-3, 1e3))
+        for s in (10.0, 1e-300, 1e-10, 1e-3, 1e6, 1e300):
+            res = optimize_lambda(ModelParams(2.0, -s),
+                                  CutoffChoice.optimize(1e-3 * s, 1e3 * s))
+            assert res.mu / s == pytest.approx(base.mu, rel=1e-13), s
+            assert res.lambda_used / s == pytest.approx(base.lambda_used,
+                                                        rel=1e-13), s
+
+    @pytest.mark.parametrize("M", [1.3, 2.0, 5.0])
+    def test_matches_mpmath_optimum(self, M):
+        lam, mu = optimum_mpmath(M)
+        if M == 2.0:
+            assert lam == pytest.approx(2.476847487165465688, rel=1e-15)
+        pars = ModelParams(M, -1.0)
+        best = optimize_lambda(pars, CutoffChoice.optimize(1e-3, 1e3))
+        assert best.lambda_used == pytest.approx(lam, rel=1e-12)
+        assert best.mu == pytest.approx(mu, rel=1e-14)
+        assert abs(best.residual - bound_lhs(best.mu, best.lambda_used, pars,
+                                             best.alpha_M)) <= 1e-12
+
+    def test_near_critical_optimum_is_finite(self):
+        # the fixed cutoff lam = -E_B overflows at M = 1.2242 (see
+        # test_near_critical_overflow_reported), but the optimum does not:
+        # it is solve_mu's root at the optimal cutoff
+        pars = ModelParams(1.2242, -1.0)
+        best = optimize_lambda(pars, CutoffChoice.optimize(1e-3, 1e3))
+        assert best.mu == pytest.approx(solve_mu(pars, best.lambda_used).mu,
+                                        rel=1e-13)
+
+    def test_overflowing_optimum_reported(self):
+        with pytest.raises(BracketFailure, match="floating-point range"):
+            optimize_lambda(ModelParams(2.0, -1e308),
+                            CutoffChoice.optimize(1e305, 1e308))
+
+    @pytest.mark.parametrize("M", [1.3, 2.0, 20.0])
+    def test_cost(self, M, monkeypatch):
+        # the optimum is a closed form around one root in x = lam/|mu|;
+        # it needs no solve of the bound equation
+        calls = []
+        real = solvers.solve_mu
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_mu", counting)
+        best = optimize_lambda(ModelParams(M, -1.0),
+                               CutoffChoice.optimize(1e-6, 1e6))
+        assert calls == []
+        assert best.iterations <= 20
 
     def test_boundary_maximum_is_reported(self, params_m2):
         with pytest.raises(RangeError):

@@ -33,6 +33,22 @@ class TestTailIntegral:
             row = verify_tail_integral(lam, mu)
             assert row.max_violation < 1e-10
 
+    def test_uncapped_tail_sample_count(self, monkeypatch):
+        # every sample is checked, however many; one real tail check
+        # stands in for each, so that 20001 samples stay cheap
+        row = verify_tail_integral(1.0, -1.0)
+        lams = []
+
+        def stub(lam, mu, quad, tol):
+            lams.append(lam)
+            return row
+
+        monkeypatch.setattr(verify, "verify_tail_integral", stub)
+        report = run_suite("integrals", samples=20_001, seed=2)
+        tail = next(c for c in report.cases
+                    if c.name == "resolvent_tail_integral")
+        assert tail.samples_run == len(lams) == 20_001
+
 
 class TestDiskArea:
     @pytest.mark.parametrize("lam,expected", [(1.0, math.pi),
