@@ -50,6 +50,87 @@ class _BudgetSpent(Exception):
     """The objective was called maxfev times."""
 
 
+def _descent(x0, *, bounds, initial_simplex, maxfev, xatol, fatol):
+    """Bounded Nelder-Mead descent, as a generator: the algorithm of
+    :func:`minimize` with the objective left outside.
+
+    It yields each trial point (a fresh copy), must be sent that point's
+    value before it yields the next one, and returns the SimplexResult.
+    Input errors are raised by the first ``next``.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    lo, hi = (np.array(b, dtype=float) for b in zip(*bounds))
+    sim = np.array(initial_simplex, dtype=float)
+    n = sim.shape[1]
+    if sim.shape != (n + 1, n) or np.shape(x0) != (n,) or lo.shape != (n,):
+        raise ValueError("need an (n+1, n) simplex, n-vector x0, n bounds")
+    if np.any(lo > hi):
+        raise ValueError("a lower bound exceeds its upper bound")
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return (yield np.copy(x))
+
+    def step():
+        # one iteration, updating sim and fsim in place
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lo, hi)
+        fxr = yield from f(xr)
+        if fxr < fsim[0]:
+            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lo, hi)
+            fxe = yield from f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:  # outside contraction
+            xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lo, hi)
+            fxc = yield from f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                yield from shrink()
+        else:  # inside contraction
+            xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
+            fxcc = yield from f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                yield from shrink()
+
+    def shrink():
+        for j in range(1, n + 1):
+            sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lo, hi)
+            fsim[j] = yield from f(sim[j])
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return sim[ind], fsim[ind]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = yield from f(sim[k])
+    except _BudgetSpent:
+        pass
+    # sorted twice, as scipy does: argsort may reorder ties again
+    sim, fsim = by_value(*by_value(sim, fsim))
+    while nfev < maxfev:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        try:
+            yield from step()
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return SimplexResult(x=sim[0], fun=np.min(fsim), nfev=nfev)
+
+
 def minimize(fun, x0, *, bounds, initial_simplex, maxfev, xatol, fatol):
     """Minimise the scalar function fun by bounded Nelder-Mead descent.
 
@@ -72,78 +153,55 @@ def minimize(fun, x0, *, bounds, initial_simplex, maxfev, xatol, fatol):
     sort) where scipy does, so that the C estimate and its refinement
     trace stay bit-identical to the scipy implementation it replaces,
     without loading scipy at run time.  The tests hold it to scipy.
+
+    It drives one :func:`_descent`, sending it fun at each trial point;
+    :func:`estimate_C` drives several at once through :func:`_lockstep`.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    lo, hi = (np.array(b, dtype=float) for b in zip(*bounds))
-    sim = np.array(initial_simplex, dtype=float)
-    n = sim.shape[1]
-    if sim.shape != (n + 1, n) or np.shape(x0) != (n,) or lo.shape != (n,):
-        raise ValueError("need an (n+1, n) simplex, n-vector x0, n bounds")
-    if np.any(lo > hi):
-        raise ValueError("a lower bound exceeds its upper bound")
-    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
-    fsim = np.full(n + 1, np.inf)
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return fun(np.copy(x))
-
-    def step():
-        # one iteration, updating sim and fsim in place
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lo, hi)
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lo, hi)
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:  # outside contraction
-            xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lo, hi)
-            fxc = f(xc)
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink()
-        else:  # inside contraction
-            xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
-            fxcc = f(xcc)
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink()
-
-    def shrink():
-        for j in range(1, n + 1):
-            sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lo, hi)
-            fsim[j] = f(sim[j])
-
-    def by_value(sim, fsim):
-        ind = np.argsort(fsim)
-        return sim[ind], fsim[ind]
-
+    descent = _descent(x0, bounds=bounds, initial_simplex=initial_simplex,
+                       maxfev=maxfev, xatol=xatol, fatol=fatol)
+    value = None
     try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
-    # sorted twice, as scipy does: argsort may reorder ties again
-    sim, fsim = by_value(*by_value(sim, fsim))
-    while nfev < maxfev:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
+        while True:
+            value = fun(descent.send(value))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _lockstep(descents, batch):
+    """Run the :func:`_descent` generators together; return their results.
+
+    Each round, the pending trial points of the running descents, in
+    start order, go to one call batch(X), which returns a value and an
+    error (an exception or None) per row of X.  The outcome is that of
+    running the descents one after another: a descent whose point fails
+    stops, so does every later descent (which that loop would never have
+    reached), and once the rest have finished the error of the
+    lowest-index failing descent is raised.
+    """
+    results = [None] * len(descents)
+    points = {}  # start index -> pending trial point
+    failed = None  # error of the lowest-index failing start so far
+
+    def advance(i, value):
         try:
-            step()
-        except _BudgetSpent:
-            pass
-        sim, fsim = by_value(sim, fsim)
-    return SimplexResult(x=sim[0], fun=np.min(fsim), nfev=nfev)
+            points[i] = descents[i].send(value)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(descents)):
+        advance(i, None)
+    while points:
+        starts = sorted(points)
+        values, errors = batch(np.array([points.pop(i) for i in starts]))
+        for i, value, exc in zip(starts, values, errors):
+            if exc is not None:
+                # the descents after i are dropped with their points
+                failed = exc
+                break
+            advance(i, value)
+    if failed is not None:
+        raise failed
+    return results
 
 
 # Mesh rows per lockstep batch of the C grid scan, fixed so that the values
@@ -496,16 +554,15 @@ def _objective(z, cfg: CSearchConfig, params: ModelParams) -> float:
     return weight(tau + psq, cfg.mu, cfg.lam) * inner
 
 
-def _objective_chunk(chunk: np.ndarray, cfg: CSearchConfig,
-                     params: ModelParams) -> np.ndarray:
+def _objective_rows(chunk: np.ndarray, cfg: CSearchConfig,
+                    params: ModelParams) -> tuple[np.ndarray, list]:
     """:func:`_objective` at every row (|Q|, p_par, p_perp, tau) of chunk.
 
     The radial integrals of all rows run in lockstep (:func:`lockstep_gk15`)
-    with the integrand of :func:`inner_integral`.  Rows fail as the loop
-    ``[_objective(z) for z in chunk]`` would: each row's errors are
-    collected in the order inner_integral meets them (degenerate tail,
-    exhausted budget, exceeded tail), and the first one in row order is
-    raised.
+    with the integrand of :func:`inner_integral`.  Returns the values and,
+    per row, None or the error :func:`_objective` would raise there: the
+    first one inner_integral meets (degenerate tail, exhausted budget,
+    exceeded tail).  The value of a failed row is meaningless.
     """
     M = params.mass_ratio
     quad = cfg.quad
@@ -541,11 +598,20 @@ def _objective_chunk(chunk: np.ndarray, cfg: CSearchConfig,
     for i in np.flatnonzero(tails > quad.tail_truncation_rel * inner
                             + quad.abs_tol).tolist():
         errors[i] = errors[i] or _tail_exceeded(tails[i], inner[i], quad)
+    psq = p_par * p_par + p_perp * p_perp
+    return weight(tau + psq, cfg.mu, cfg.lam) * inner, errors
+
+
+def _objective_chunk(chunk: np.ndarray, cfg: CSearchConfig,
+                     params: ModelParams) -> np.ndarray:
+    """:func:`_objective_rows`, failing as the loop
+    ``[_objective(z) for z in chunk]`` would: the first error in row order
+    is raised."""
+    values, errors = _objective_rows(chunk, cfg, params)
     first = next((exc for exc in errors if exc is not None), None)
     if first is not None:
         raise first
-    psq = p_par * p_par + p_perp * p_perp
-    return weight(tau + psq, cfg.mu, cfg.lam) * inner
+    return values
 
 
 def _grid_values(mesh: np.ndarray, cfg: CSearchConfig, params: ModelParams,
@@ -562,12 +628,16 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams,
     """Estimate C = sup weight(tau + p^2) * inner_integral over the box.
 
     Coarse grid scan over (|Q|, p_par, p_perp, tau) followed by
-    refine_iters rounds of simplex descent restarted from the best five
+    refine_iters levels of simplex descent restarted from the best five
     points (tau searched in log scale).  The running maximum per level is
     recorded in refinement_trace.  The grid is evaluated in fixed chunks of
     _GRID_CHUNK mesh rows, each integrated in lockstep, spread over the
     threads by an order-preserving parallel map; results do not depend on
-    the thread count.
+    the thread count.  The five descents of a level run in lockstep
+    (:func:`_lockstep`): each round evaluates their pending trial points,
+    at most five, in one :func:`_objective_rows` call on the calling
+    thread.  Values and errors are those of five sequential
+    :func:`minimize` runs on the scalar :func:`_objective`.
     """
     M = params.mass_ratio
     qmag = cfg.qmag_grid.values()
@@ -586,12 +656,15 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams,
     lo = np.array([qmag[0], ppar[0], pperp[0], math.log(tau[0])])
     hi = np.array([qmag[-1], ppar[-1], pperp[-1], math.log(tau[-1])])
 
-    def neg_obj(x):
-        return -_objective((x[0], x[1], x[2], math.exp(x[3])), cfg, params)
+    def neg_batch(X):
+        Z = X.copy()
+        Z[:, 3] = [math.exp(t) for t in X[:, 3]]
+        values, errors = _objective_rows(Z, cfg, params)
+        return -values, errors
 
     for level in range(1, cfg.refine_iters + 1):
         shrink = 0.25 ** (level - 1)
-        new_candidates = []
+        descents = []
         for val0, z0 in candidates:
             x0 = np.array([z0[0], z0[1], z0[2], math.log(z0[3])])
             simplex = [x0]
@@ -600,9 +673,12 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams,
                 v = x0.copy()
                 v[i] = v[i] + step if v[i] + step <= hi[i] else v[i] - step
                 simplex.append(v)
-            res = minimize(neg_obj, x0, bounds=list(zip(lo, hi)),
-                           initial_simplex=np.array(simplex), maxfev=200,
-                           xatol=1e-8, fatol=1e-14)
+            descents.append(_descent(
+                x0, bounds=list(zip(lo, hi)),
+                initial_simplex=np.array(simplex), maxfev=200, xatol=1e-8,
+                fatol=1e-14))
+        new_candidates = []
+        for res in _lockstep(descents, neg_batch):
             x = res.x  # every vertex of the descent lies in the box
             new_candidates.append(
                 (float(-res.fun), (float(x[0]), float(x[1]), float(x[2]),

@@ -403,10 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gamma" and (args.mass is None) == (args.scan is None):
-        parser.error("gamma needs exactly one of --mass or --scan")
-    if args.command == "c-constant" and args.mass is None and args.scan is None:
-        parser.error("c-constant needs --mass or --scan")
+    if args.command in ("gamma", "c-constant") and \
+            (args.mass is None) == (args.scan is None):
+        parser.error(f"{args.command} needs exactly one of --mass or --scan")
     if args.command == "bound":
         if not args.mass > 0:
             parser.error("--mass must be positive")

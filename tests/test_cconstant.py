@@ -330,6 +330,38 @@ class TestNelderMead:
         res, _ = self.run(cconstant.minimize, "converges")
         assert res.nfev < 1000
 
+    def test_lockstep_matches_each_start_alone(self):
+        # the six cases as the starts of one lockstep run: they stop at
+        # different rounds (convergence, maxfev in the first evaluations,
+        # maxfev in a shrink, ...), and each must descend as it does alone
+        cases = sorted(self.CASES)
+        alone = [self.run(cconstant.minimize, case) for case in cases]
+        assert len({len(points) for _, points in alone}) >= 4
+        batches = []
+
+        def batch(X):
+            # round r holds the r-th point of every start still running
+            r = len(batches)
+            running = [i for i, (_, points) in enumerate(alone)
+                       if len(points) > r]
+            batches.append(X.copy())
+            assert np.array_equal(X, [alone[i][1][r] for i in running])
+            values = [self.CASES[cases[i]][0](x) for i, x in zip(running, X)]
+            return values, [None] * len(X)
+
+        descents = []
+        for case in cases:
+            _, sim, maxfev, xatol, fatol = self.CASES[case]
+            descents.append(cconstant._descent(
+                sim[0], bounds=list(zip(NM_LO, NM_HI)), initial_simplex=sim,
+                maxfev=maxfev, xatol=xatol, fatol=fatol))
+        results = cconstant._lockstep(descents, batch)
+        assert len(batches) == max(len(points) for _, points in alone)
+        for res, (ref, _) in zip(results, alone, strict=True):
+            assert np.array_equal(res.x, ref.x)
+            assert res.fun == ref.fun
+            assert res.nfev == ref.nfev
+
     def test_rejects_inconsistent_shapes(self):
         bounds = list(zip(NM_LO, NM_HI))
         with pytest.raises(ValueError):
@@ -345,6 +377,38 @@ class TestNelderMead:
                                bounds=list(zip(NM_HI, NM_LO)),
                                initial_simplex=NM_SIMPLEX, maxfev=10,
                                xatol=1e-8, fatol=1e-8)
+
+
+def scalar_neg_objective(cfg, params, objective=_objective):
+    """The refinement's objective, point by point on the scalar path."""
+    def neg_obj(x):
+        return -objective((x[0], x[1], x[2], math.exp(x[3])), cfg, params)
+    return neg_obj
+
+
+def record(log, results):
+    log.extend(results)
+    return results
+
+
+def sequential_refinement(monkeypatch, minimize, neg_obj, log=None):
+    """Make estimate_C run the descents of each level one after another,
+    each as minimize(neg_obj, x0, **options) with the descent's own
+    arguments, and log their results."""
+    descent, args = cconstant._descent, {}
+
+    def spy(x0, **options):
+        gen = descent(x0, **options)
+        args[gen] = (x0, options)
+        return gen
+
+    def sequential(descents, batch):
+        return record([] if log is None else log,
+                      [minimize(neg_obj, args[d][0], **args[d][1])
+                       for d in descents])
+
+    monkeypatch.setattr(cconstant, "_descent", spy)
+    monkeypatch.setattr(cconstant, "_lockstep", sequential)
 
 
 class TestEstimateC:
@@ -402,12 +466,24 @@ class TestEstimateC:
 
     @pytest.mark.parametrize("M", [0.5, 2.0, 5.0])
     def test_equals_scipy_refinement(self, M, small_cfg, monkeypatch):
+        # the lockstep refinement against every start run alone by scipy
+        # on the scalar objective: each start's result, and the estimate
         params = ModelParams(M, -1.0)
+        got, want = [], []
+        lockstep = cconstant._lockstep
+        monkeypatch.setattr(cconstant, "_lockstep", lambda descents, batch:
+                            record(got, lockstep(descents, batch)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est = estimate_C(small_cfg, params)
-            monkeypatch.setattr(cconstant, "minimize", scipy_minimize)
+            sequential_refinement(monkeypatch, scipy_minimize,
+                                  scalar_neg_objective(small_cfg, params),
+                                  want)
             ref = estimate_C(small_cfg, params)
+        assert len(got) == len(want) == 2 * 5
+        for res, sci in zip(got, want):
+            assert np.array_equal(res.x, sci.x)
+            assert res.fun == sci.fun and res.nfev == sci.nfev
         for f in dataclasses.fields(CEstimate):
             assert getattr(est, f.name) == getattr(ref, f.name), f.name
 
@@ -536,6 +612,57 @@ class TestGridScan:
             with pytest.raises(QuadratureError) as got:
                 estimate_C(cfg, params_m2, threads=threads)
             assert str(got.value) == str(want)
+
+
+class TestRefinementErrors:
+    def test_error_of_the_lowest_failing_start(self, params_m2, small_cfg,
+                                               monkeypatch):
+        # start 3 fails at round 10 of level 1 and start 1 at round 30:
+        # run one after another, start 1 fails first, so its error is the
+        # one raised, although the lockstep rounds meet start 3's earlier
+        real_rows = cconstant._objective_rows
+        rounds = []
+
+        def recording(chunk, cfg, params):
+            if len(chunk) <= 5:  # a refinement round, not a grid chunk
+                rounds.append(chunk.copy())
+            return real_rows(chunk, cfg, params)
+
+        monkeypatch.setattr(cconstant, "_objective_rows", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            estimate_C(small_cfg, params_m2)
+        assert len(rounds[10]) == len(rounds[30]) == 5
+        bad = {tuple(rounds[10][3]): "injected: start 3, round 10",
+               tuple(rounds[30][1]): "injected: start 1, round 30"}
+
+        def failing_rows(chunk, cfg, params):
+            values, errors = real_rows(chunk, cfg, params)
+            for k, z in enumerate(chunk):
+                if tuple(z) in bad:
+                    errors[k] = TailBoundExceeded(bad[tuple(z)])
+            return values, errors
+
+        def failing_objective(z, cfg, params):
+            if tuple(z) in bad:
+                raise TailBoundExceeded(bad[tuple(z)])
+            return _objective(z, cfg, params)
+
+        monkeypatch.setattr(cconstant, "_objective_rows", failing_rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(TailBoundExceeded) as got:
+                estimate_C(small_cfg, params_m2)
+            row, = scan_C_vs_M([params_m2.mass_ratio], small_cfg)
+            sequential_refinement(
+                monkeypatch, cconstant.minimize,
+                scalar_neg_objective(small_cfg, params_m2, failing_objective))
+            with pytest.raises(TailBoundExceeded) as want:
+                estimate_C(small_cfg, params_m2)
+        assert str(want.value) == "injected: start 1, round 30"
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert row["error"] == str(want.value) and row["C"] is None
 
 
 class TestScan:

@@ -63,22 +63,34 @@ class TestStartup:
                 assert not any(n.split(".")[0] == "scipy" for n in names), \
                     f"{path.name}:{node.lineno} imports scipy"
 
-    def test_minimize_is_a_module_attribute(self, monkeypatch):
-        # the benchmark tracer (perfbench/tracing.py, Tracer.install) finds
-        # the in-house Nelder-Mead refinement by looking up
-        # cconstant.minimize by name and replaces it there, so estimate_C
-        # must call it through that attribute, once per start
+    def test_minimize_is_a_module_attribute(self):
+        # the benchmark tracer (perfbench/tracing.py, Tracer.install) looks
+        # up cconstant.minimize by name and fails if it is gone
+        from polaron2d import cconstant
+
+        assert callable(cconstant.minimize)
+
+    def test_refinement_batches_its_objective(self, monkeypatch):
+        # the refinement evaluates its trial points in lockstep rounds of
+        # at most 5 rows (one per start) and at most maxfev = 200 rounds
+        # per level; the scalar inner_integral is left with the final tail
         from polaron2d import GridSpec, ModelParams, coarse_config, estimate_C
         from polaron2d import cconstant
 
-        calls = []
-        real = cconstant.minimize
+        scalar, rows = [], []
+        real_inner, real_rows = cconstant.inner_integral, \
+            cconstant._objective_rows
 
-        def counting(fun, x0, **kwargs):
-            calls.append(x0)
-            return real(fun, x0, **kwargs)
+        def counting_inner(*args, **kwargs):
+            scalar.append(args)
+            return real_inner(*args, **kwargs)
 
-        monkeypatch.setattr(cconstant, "minimize", counting)
+        def counting_rows(chunk, *args):
+            rows.append(len(chunk))
+            return real_rows(chunk, *args)
+
+        monkeypatch.setattr(cconstant, "inner_integral", counting_inner)
+        monkeypatch.setattr(cconstant, "_objective_rows", counting_rows)
         cfg = replace(coarse_config(), refine_iters=1,
                       tau_grid=GridSpec(1e-2, 1e2, 2, "log"),
                       qmag_grid=GridSpec(0.0, 4.0, 2),
@@ -87,7 +99,11 @@ class TestStartup:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est = estimate_C(cfg, ModelParams(2.0, -1.0))
-        assert len(calls) == 5  # one simplex descent per candidate
+        assert len(scalar) == 1
+        assert rows[0] == 2 * 3 * 2 * 2  # the grid scan: one chunk
+        refine = rows[1:]
+        assert 0 < len(refine) <= cfg.refine_iters * 200
+        assert max(refine) <= 5
         assert est.value > 0.0
 
 
@@ -232,6 +248,12 @@ class TestVerify:
 class TestCConstantFlags:
     def test_needs_mass_or_scan(self):
         assert run_cli("c-constant").returncode == 1
+
+    def test_mass_and_scan_together_rejected(self):
+        proc = run_cli("c-constant", "--mass", "2", "--scan", "0.5:3:6")
+        assert proc.returncode == 1
+        assert "exactly one of --mass or --scan" in proc.stderr
+        assert proc.stdout == ""
 
     def test_bad_scan_spec(self):
         assert run_cli("c-constant", "--scan", "nonsense").returncode == 1
