@@ -204,13 +204,12 @@ def _lockstep(descents, batch):
     return results
 
 
-# Mesh rows per lockstep batch of the C grid scan, fixed so that the values
-# do not depend on the thread count.  A batch shares its integrand calls,
-# and 32 rows is where that gain levels off: the coarse M = 2 scan took
-# 0.29, 0.21, 0.16, 0.16 and 0.16 s at 8, 16, 32, 128 and all 1575 rows
-# (one core of a 2-core x86-64 host).  Larger batches only grow the
-# temporaries (peak RSS of the c-constant run: 79.0 MB at 32 rows, 80.2 MB
-# with the whole mesh) and leave parallel_map fewer items to share out.
+# Mesh rows per lockstep batch of the C grid scan.  A batch shares its
+# integrand calls, and 32 rows is where that gain levels off: the coarse
+# M = 2 scan took 0.29, 0.21, 0.16, 0.16 and 0.16 s at 8, 16, 32, 128 and
+# all 1575 rows (one core of a 2-core x86-64 host).  Larger batches only
+# grow the temporaries (peak RSS of the c-constant run: 79.0 MB at 32 rows,
+# 80.2 MB with the whole mesh).
 _GRID_CHUNK = 32
 
 
@@ -614,30 +613,27 @@ def _objective_chunk(chunk: np.ndarray, cfg: CSearchConfig,
     return values
 
 
-def _grid_values(mesh: np.ndarray, cfg: CSearchConfig, params: ModelParams,
-                 threads: int = 1) -> np.ndarray:
+def _grid_values(mesh: np.ndarray, cfg: CSearchConfig,
+                 params: ModelParams) -> np.ndarray:
     """:func:`_objective` at every mesh row, in chunks of _GRID_CHUNK rows."""
     chunks = [mesh[i:i + _GRID_CHUNK]
               for i in range(0, len(mesh), _GRID_CHUNK)]
     return np.concatenate(parallel_map(
-        lambda c: _objective_chunk(c, cfg, params), chunks, threads))
+        lambda c: _objective_chunk(c, cfg, params), chunks))
 
 
-def estimate_C(cfg: CSearchConfig, params: ModelParams,
-               threads: int = 1) -> CEstimate:
+def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
     """Estimate C = sup weight(tau + p^2) * inner_integral over the box.
 
     Coarse grid scan over (|Q|, p_par, p_perp, tau) followed by
     refine_iters levels of simplex descent restarted from the best five
     points (tau searched in log scale).  The running maximum per level is
     recorded in refinement_trace.  The grid is evaluated in fixed chunks of
-    _GRID_CHUNK mesh rows, each integrated in lockstep, spread over the
-    threads by an order-preserving parallel map; results do not depend on
-    the thread count.  The five descents of a level run in lockstep
-    (:func:`_lockstep`): each round evaluates their pending trial points,
-    at most five, in one :func:`_objective_rows` call on the calling
-    thread.  Values and errors are those of five sequential
-    :func:`minimize` runs on the scalar :func:`_objective`.
+    _GRID_CHUNK mesh rows, each integrated in lockstep.  The five descents
+    of a level run in lockstep (:func:`_lockstep`): each round evaluates
+    their pending trial points, at most five, in one
+    :func:`_objective_rows` call.  Values and errors are those of five
+    sequential :func:`minimize` runs on the scalar :func:`_objective`.
     """
     M = params.mass_ratio
     qmag = cfg.qmag_grid.values()
@@ -647,7 +643,7 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams,
     mesh = np.stack(np.meshgrid(qmag, ppar, pperp, tau, indexing="ij"),
                     axis=-1).reshape(-1, 4)
 
-    values = _grid_values(mesh, cfg, params, threads)
+    values = _grid_values(mesh, cfg, params)
 
     order = np.argsort(-values, kind="stable")
     candidates = [(float(values[i]), tuple(mesh[i])) for i in order[:5]]
@@ -732,8 +728,7 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams,
 
 
 def scan_C_vs_M(M_values, cfg: CSearchConfig,
-                params_template: ModelParams | None = None,
-                threads: int = 1) -> list[dict]:
+                params_template: ModelParams | None = None) -> list[dict]:
     """One C estimate per mass ratio; row errors are captured, not raised.
 
     Emits the ratio column C/(pi/(1+1/M)) that supports an empirical
@@ -746,7 +741,7 @@ def scan_C_vs_M(M_values, cfg: CSearchConfig,
     for M in M_values:
         row = {"M": float(M), "mu": cfg.mu, "lambda": cfg.lam}
         try:
-            est = estimate_C(cfg, ModelParams(float(M), eb), threads=threads)
+            est = estimate_C(cfg, ModelParams(float(M), eb))
             row.update({
                 "C": est.value, "prefactor": est.prefactor, "ratio": est.ratio,
                 "Q_mag": est.argmax["Q_mag"], "p_par": est.argmax["p_par"],

@@ -14,18 +14,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
-import os
 import sys
 import warnings
-from dataclasses import dataclass
-
-import numpy as np
 
 from ._parallel import parallel_map
 from ._quad import QuadratureError
-from .cconstant import (TailBoundExceeded, coarse_config, estimate_C,
-                        fine_config, scan_C_vs_M)
+from .cconstant import (GridSpec, TailBoundExceeded, coarse_config,
+                        estimate_C, fine_config, scan_C_vs_M)
 from .corefuncs import ModelParams, alpha_m
 from .solvers import (BracketFailure, CutoffChoice, NonConvergence, RangeError,
                       RootFindSpec, SupercriticalMass, critical_mass,
@@ -72,30 +67,14 @@ def _diag(msg: str):
     sys.stderr.write(msg + "\n")
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    """Parameter sweep: variable name, endpoints, step count, spacing."""
-
-    variable: str
-    start: float
-    stop: float
-    steps: int
-    spacing: str = "linear"
-
-    def __post_init__(self):
-        if not self.start < self.stop:
-            raise ValueError("scan needs start < stop")
-        if self.steps < 2:
-            raise ValueError("scan needs at least 2 steps")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.spacing == "log" and not self.start > 0:
-            raise ValueError("log spacing requires start > 0")
-
-    def values(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.steps)
-        return np.linspace(self.start, self.stop, self.steps)
+def _scan_masses(scan, spacing: str = "linear"):
+    """Mass ratios of a --scan START:STOP:STEPS."""
+    start, stop, steps = scan
+    if not start < stop:
+        raise ValueError("scan needs start < stop")
+    if steps < 2:
+        raise ValueError("scan needs at least 2 steps")
+    return GridSpec(start, stop, steps, spacing).values()
 
 
 def _parse_scan(text: str):
@@ -174,10 +153,8 @@ def _gamma_row(mass: float, spec: RootFindSpec) -> dict:
 def cmd_gamma(args) -> int:
     spec = RootFindSpec()
     if args.scan:
-        start, stop, steps = args.scan
-        masses = ScanSpec("mass", start, stop, steps, args.spacing).values()
-        rows = parallel_map(lambda m: _gamma_row(float(m), spec), masses,
-                            args.threads)
+        rows = parallel_map(lambda m: _gamma_row(float(m), spec),
+                            _scan_masses(args.scan, args.spacing))
         for row in rows:
             if row["error"]:
                 _diag(f"M = {row['M']}: {row['error']}")
@@ -255,9 +232,7 @@ def cmd_cconstant(args) -> int:
         warnings.showwarning = to_stderr
         try:
             if args.scan:
-                start, stop, steps = args.scan
-                masses = ScanSpec("mass", start, stop, steps).values()
-                rows = scan_C_vs_M(masses, cfg, threads=args.threads)
+                rows = scan_C_vs_M(_scan_masses(args.scan), cfg)
                 for row in rows:
                     if row["error"]:
                         _diag(f"M = {row['M']}: {row['error']}")
@@ -276,7 +251,7 @@ def cmd_cconstant(args) -> int:
                 return EXIT_OK
 
             params = ModelParams(args.mass, -1.0)
-            est = estimate_C(cfg, params, threads=args.threads)
+            est = estimate_C(cfg, params)
         except TailBoundExceeded as exc:
             _diag(f"truncation failure: {exc}")
             return EXIT_NONCONVERGENCE
@@ -312,7 +287,7 @@ def cmd_cconstant(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_suite(suite=args.suite, samples=args.samples, seed=args.seed,
-                       tol_override=args.tol, threads=args.threads)
+                       tol_override=args.tol)
     if args.format == "json":
         _emit_json(report.to_dict())
     elif args.format == "csv":
@@ -338,9 +313,9 @@ def cmd_verify(args) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "csv", "human"),
                    default="human", help="output format (default: human)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="parallel map width for scans and searches; "
-                        "output never depends on it")
+    p.add_argument("--threads", type=int,
+                   help="ignored; accepted for older scripts (the package "
+                        "is single-threaded)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,8 +388,6 @@ def main(argv=None) -> int:
             parser.error("--binding must be negative")
         if args.lam is not None and not args.lam > 0:
             parser.error("--lambda must be positive")
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -258,16 +258,19 @@ def solve_gamma(mass_ratio: float,
                     alpham=alpham).gamma
 
 
-def critical_mass(spec: RootFindSpec | None = None,
-                  bracket: tuple[float, float] = (1.0, 1.5)) -> float:
+# Mass-ratio bracket of the critical mass M* (about 1.22).
+_CRITICAL_MASS_BRACKET = (1.0, 1.5)
+
+
+def critical_mass(spec: RootFindSpec | None = None) -> float:
     """Mass ratio M* at which alpha(M) = M/(M+1).
 
     The hypothesis margin h(M) = alpha(M) - M/(M+1) is monotone decreasing
-    across the default bracket [1.0, 1.5]; a coarse scan guards against a
-    second root before Brent refinement.
+    across the bracket [1.0, 1.5]; a coarse scan guards against a second
+    root before Brent refinement.
     """
     spec = spec or RootFindSpec()
-    lo, hi = bracket
+    lo, hi = _CRITICAL_MASS_BRACKET
 
     def h(m):
         return alpha_m(ModelParams(m, -1.0)) - m / (m + 1.0)

@@ -8,7 +8,7 @@ with documented ranges: |p|, |q|, |P|, |v| in [0, 10], B in [0, 100],
 u in [0, 1], M in [0.2, 50].  The checked statements are homogeneous or
 asymptotically trivial outside these boxes, and the boxes keep the
 quadratures well conditioned.  Reports are reproducible bit for bit from
-(seed, samples, tolerances) and independent of the thread count.
+(seed, samples, tolerances).
 """
 
 from __future__ import annotations
@@ -361,8 +361,7 @@ def _shifted_envelope_integral(v, k: KernelPoint, params: ModelParams,
 def verify_rearrangement(samples: int, seed: int,
                          params: ModelParams | None = None,
                          quad: QuadratureSpec | None = None,
-                         tolerance: float = 1e-8,
-                         threads: int = 1) -> CaseResult:
+                         tolerance: float = 1e-8) -> CaseResult:
     """Shifted envelope integral never exceeds its symmetrised closed form.
 
     For random shifts v and kernel points k:
@@ -395,7 +394,7 @@ def verify_rearrangement(samples: int, seed: int,
         lhs = _shifted_envelope_integral(v, k, pars, quad, rhs)
         return lhs, rhs
 
-    pairs = parallel_map(one, range(samples), threads)
+    pairs = parallel_map(one, range(samples))
 
     lhs = np.array([p[0] for p in pairs])
     rhs = np.array([p[1] for p in pairs])
@@ -462,20 +461,20 @@ def verify_bound_chain(params: ModelParams, lam: float, mu_grid,
 # suite assembly
 
 
-def _case_resolvent_tail(samples, seed, tol, quad, threads=1):
+def _case_resolvent_tail(samples, seed, tol, quad):
     rng = np.random.default_rng(seed)
     lams = 10.0 ** rng.uniform(-2, 2, samples)
     mus = -(10.0 ** rng.uniform(-2, 2, samples))
 
     def one(i):
         return verify_tail_integral(float(lams[i]), float(mus[i]), quad, tol)
-    rows = parallel_map(one, range(samples), threads)
+    rows = parallel_map(one, range(samples))
     worst = max(rows, key=lambda r: r.max_violation)
     return _result("resolvent_tail_integral", samples, worst.max_violation,
                    worst.worst_input, tol)
 
 
-def _case_disk_area(samples, seed, tol, quad, threads=1):
+def _case_disk_area(samples, seed, tol, quad):
     rng = np.random.default_rng(seed)
     lams = 10.0 ** rng.uniform(-2, 2, samples)
     rows = [verify_disk_area(float(l), quad, tol) for l in lams]
@@ -484,7 +483,7 @@ def _case_disk_area(samples, seed, tol, quad, threads=1):
                    worst.worst_input, tol)
 
 
-def _case_sigma_minus(samples, seed, tol, quad, threads=1):
+def _case_sigma_minus(samples, seed, tol, quad):
     rng = np.random.default_rng(seed)
     p = rng.uniform(-_VEC_BOX, _VEC_BOX, (samples, 2))
     q = rng.uniform(-_VEC_BOX, _VEC_BOX, (samples, 2))
@@ -506,20 +505,19 @@ def _case_sigma_minus(samples, seed, tol, quad, threads=1):
                    tol)
 
 
-def _case_momentum_bounds(samples, seed, tol, quad, threads=1):
+def _case_momentum_bounds(samples, seed, tol, quad):
     return verify_momentum_bounds(samples, seed, tolerance=tol)
 
 
-def _case_u_integral(samples, seed, tol, quad, threads=1):
+def _case_u_integral(samples, seed, tol, quad):
     return verify_u_integral_bound(samples, seed, tolerance=tol)
 
 
-def _case_rearrangement(samples, seed, tol, quad, threads=1):
-    return verify_rearrangement(samples, seed, quad=quad, tolerance=tol,
-                                threads=threads)
+def _case_rearrangement(samples, seed, tol, quad):
+    return verify_rearrangement(samples, seed, quad=quad, tolerance=tol)
 
 
-def _case_lhs_forms(samples, seed, tol, quad, threads=1):
+def _case_lhs_forms(samples, seed, tol, quad):
     """Both algebraic forms of the bound-equation left side agree."""
     rng = np.random.default_rng(seed)
     m_values = np.geomspace(*_M_BOX, 32)
@@ -545,7 +543,7 @@ def _case_lhs_forms(samples, seed, tol, quad, threads=1):
     return _result("bound_lhs_forms", samples, violation, worst, tol)
 
 
-def _case_lhs_monotone(samples, seed, tol, quad, threads=1):
+def _case_lhs_monotone(samples, seed, tol, quad):
     """Finite-difference slope of the bound-equation left side in mu is
     negative everywhere on (-inf, E_B]."""
     rng = np.random.default_rng(seed)
@@ -571,7 +569,7 @@ def _case_lhs_monotone(samples, seed, tol, quad, threads=1):
     return _result("bound_lhs_monotone", total, max(0.0, violation), worst, tol)
 
 
-def _case_alpha_monotone(samples, seed, tol, quad, threads=1):
+def _case_alpha_monotone(samples, seed, tol, quad):
     """alpha(M) strictly decreasing, M/(M+1) increasing, and their
     difference changes sign exactly once on [0.5, 50]."""
     n = int(min(max(samples, 50), 400))
@@ -593,7 +591,7 @@ def _case_alpha_monotone(samples, seed, tol, quad, threads=1):
                    tol)
 
 
-def _case_tau_chain(samples, seed, tol, quad, threads=1):
+def _case_tau_chain(samples, seed, tol, quad):
     violation, worst, total = 0.0, {}, 0
     for M in (1.5, 2.0, 5.0, 20.0):
         pars = ModelParams(M, -1.0)
@@ -626,13 +624,12 @@ SUITES = ("all", "integrals", "inequalities", "monotonicity", "chain")
 
 def run_suite(suite: str = "all", samples: int = 10000, seed: int = 0,
               quad: QuadratureSpec | None = None,
-              tol_override: float | None = None,
-              threads: int = 1) -> VerificationReport:
+              tol_override: float | None = None) -> VerificationReport:
     """Run the selected verification cases and assemble the report.
 
     tol_override replaces every case tolerance (useful for exercising the
     failure path).  Reports are deterministic for fixed (suite, samples,
-    seed) regardless of threads.
+    seed).
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
@@ -641,6 +638,6 @@ def run_suite(suite: str = "all", samples: int = 10000, seed: int = 0,
         if suite != "all" and group != suite:
             continue
         tol = tol_override if tol_override is not None else default_tol
-        rows.append(runner(samples, seed, tol, quad, threads))
+        rows.append(runner(samples, seed, tol, quad))
     return VerificationReport(cases=rows,
                               suite_passed=all(r.passed for r in rows))

@@ -189,7 +189,7 @@ def test_criterion_6_c_estimator_properties():
     # refinement trace nondecreasing, final two levels within 2 percent
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = estimate_C(cfg, pars, threads=2)
+        est = estimate_C(cfg, pars)
     levels = [v for _, v in est.refinement_trace]
     assert all(b >= a for a, b in zip(levels, levels[1:]))
     assert (levels[-1] - levels[-2]) <= 0.02 * levels[-1]
@@ -199,12 +199,6 @@ def test_criterion_6_c_estimator_properties():
     v2 = inner_integral(p, Q, tau, replace(cfg, q_mag_max=2 * cfg.q_mag_max),
                         pars)
     assert 0.0 <= v2 - v1 <= tail
-
-    # thread-count invariance of the full estimate record
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        est1 = estimate_C(cfg, pars, threads=1)
-    assert est1 == est
     gate.done()
 
 
@@ -223,6 +217,7 @@ def test_criterion_7_cli_contract():
 
     base = ("c-constant", "--mass", "2.0", "--grid", "coarse",
             "--format", "json")
+    # --threads is still accepted, and ignored
     out1 = _cli(*base, "--threads", "1")
     out8 = _cli(*base, "--threads", "8")
     assert out1.returncode == 0 and out8.returncode == 0

@@ -415,7 +415,7 @@ class TestEstimateC:
     def test_estimate_properties(self, params_m2, small_cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            est = estimate_C(small_cfg, params_m2, threads=2)
+            est = estimate_C(small_cfg, params_m2)
         assert est.value > 0.0
         assert est.prefactor == pytest.approx(
             math.pi / (1.0 + 1.0 / params_m2.mass_ratio), rel=1e-15)
@@ -456,13 +456,6 @@ class TestEstimateC:
         rot = w * inner_integral(R @ p, R @ Q, am["tau"], small_cfg, params_m2)
         assert rot == pytest.approx(base, rel=1e-10)
         assert base == pytest.approx(est.value, rel=1e-9)
-
-    def test_thread_count_invariance(self, params_m2, small_cfg):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            e1 = estimate_C(small_cfg, params_m2, threads=1)
-            e4 = estimate_C(small_cfg, params_m2, threads=4)
-        assert e1 == e4
 
     @pytest.mark.parametrize("M", [0.5, 2.0, 5.0])
     def test_equals_scipy_refinement(self, M, small_cfg, monkeypatch):
@@ -538,20 +531,6 @@ class TestGridScan:
         assert np.max(np.abs(batched - loop) / np.maximum(loop, 1e-300)) \
             <= 1e-14
 
-    def test_thread_count_invariance_uneven_split(self, params_m2,
-                                                  small_cfg):
-        # 6 chunks over 3 threads: parallel_map's 12-way split leaves
-        # workers with unequal shares
-        mesh = grid_mesh(small_cfg)
-        assert len(mesh) == 180 and _GRID_CHUNK == 32
-        assert np.array_equal(_grid_values(mesh, small_cfg, params_m2, 3),
-                              _grid_values(mesh, small_cfg, params_m2, 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            e1 = estimate_C(small_cfg, params_m2, threads=1)
-            e3 = estimate_C(small_cfg, params_m2, threads=3)
-        assert e1 == e3
-
     def test_radial_calls_per_chunk(self, params_m2, small_cfg,
                                     monkeypatch):
         # one integrand call for the first pass of a chunk and one per
@@ -608,10 +587,9 @@ class TestGridScan:
         mesh = grid_mesh(cfg)
         want = first_loop_error(mesh, cfg, params_m2)
         assert isinstance(want, QuadratureError)
-        for threads in (1, 3):
-            with pytest.raises(QuadratureError) as got:
-                estimate_C(cfg, params_m2, threads=threads)
-            assert str(got.value) == str(want)
+        with pytest.raises(QuadratureError) as got:
+            estimate_C(cfg, params_m2)
+        assert str(got.value) == str(want)
 
 
 class TestRefinementErrors:

@@ -63,6 +63,24 @@ class TestStartup:
                 assert not any(n.split(".")[0] == "scipy" for n in names), \
                     f"{path.name}:{node.lineno} imports scipy"
 
+    def test_cli_import_does_not_load_concurrent_futures(self):
+        # the package is single-threaded and needs no executor
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, polaron2d.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_parallel_map_is_loaded_by_the_cli(self):
+        # the benchmark tracer (perfbench/tracing.py, Tracer.install) looks
+        # up polaron2d._parallel.parallel_map by name in sys.modules and
+        # fails if it is gone
+        import polaron2d.cli  # noqa: F401
+
+        assert callable(sys.modules["polaron2d._parallel"].parallel_map)
+
     def test_minimize_is_a_module_attribute(self):
         # the benchmark tracer (perfbench/tracing.py, Tracer.install) looks
         # up cconstant.minimize by name and fails if it is gone
@@ -263,9 +281,6 @@ class TestCConstantFlags:
 class TestGlobalContract:
     def test_unknown_command_is_usage_error(self):
         assert run_cli("frobnicate").returncode == 1
-
-    def test_bad_threads(self):
-        assert run_cli("gamma", "--mass", "2.0", "--threads", "0").returncode == 1
 
     def test_json_stdout_clean_despite_diagnostics(self):
         proc = run_cli("gamma", "--scan", "1.0:2.0:4", "--format", "json")

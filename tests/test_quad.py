@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from polaron2d._parallel import parallel_map
 from polaron2d._quad import (QuadratureError, adaptive_gk15,
                              arc_adaptive_batch, leggauss, lockstep_gk15)
 
@@ -168,12 +167,3 @@ class TestLegGauss:
         assert w1.sum() == pytest.approx(2.0, rel=1e-14)
         assert (w1 * x1 ** 2).sum() == pytest.approx(2.0 / 3.0, rel=1e-13)
 
-
-class TestParallelMap:
-    def test_order_preserved(self):
-        items = list(range(100))
-        assert parallel_map(lambda x: x * x, items, threads=8) == \
-            [x * x for x in items]
-
-    def test_single_thread_path(self):
-        assert parallel_map(str, [1, 2, 3], threads=1) == ["1", "2", "3"]

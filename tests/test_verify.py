@@ -230,11 +230,6 @@ class TestSuiteRunner:
         r2 = run_suite("monotonicity", samples=300, seed=4)
         assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
 
-    def test_thread_invariance(self):
-        r1 = run_suite("inequalities", samples=40, seed=4, threads=1)
-        r2 = run_suite("inequalities", samples=40, seed=4, threads=4)
-        assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
-
     def test_suite_passed_is_conjunction(self):
         report = run_suite("integrals", samples=30, seed=1)
         assert report.suite_passed == all(c.passed for c in report.cases)
