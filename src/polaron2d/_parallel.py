@@ -1,8 +1,7 @@
 """Serial map over work items, kept as a named seam.
 
-The package is single-threaded.  ``parallel_map`` stays at its call sites
-(the C grid scan, the gamma scan, the rearrangement and resolvent-tail
-verification cases) because the benchmark tracer
+The package is single-threaded.  ``parallel_map`` stays at its two call
+sites (the gamma scan and the C grid scan) because the benchmark tracer
 (``perfbench/tracing.py``, ``Tracer.install``) wraps
 ``polaron2d._parallel.parallel_map`` by name.  Its spans count the work
 items and split ``inner_integral`` calls into grid-scan calls and

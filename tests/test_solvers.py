@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from polaron2d import (BracketFailure, CutoffChoice, ModelParams, RangeError,
                        RootFindSpec, SupercriticalMass, alpha_m, bound_lhs,
                        critical_mass, optimize_lambda, solve_gamma, solve_mu,
-                       verify_disk_area)
+                       verify_sigma_minus)
 
 import polaron2d.solvers as solvers
 from oracles import (bisect, count_local_maxima, critical_mass_grid,
@@ -277,7 +277,7 @@ class TestFloatSolver:
         optimize_lambda(params_m2, CutoffChoice.optimize(1e-3, 1e3))
         assert quadrature_calls == []
         # the counter does see quadratures made elsewhere in the package
-        verify_disk_area(1.0)
+        verify_sigma_minus((1.0, 0.5), (0.0, 2.0), 3.0, params_m2)
         assert len(quadrature_calls) == 1
 
 

@@ -4,17 +4,121 @@ import math
 import numpy as np
 import pytest
 
-from polaron2d import (KernelPoint, ModelParams, QuadratureSpec, a_scale,
-                       alpha_m, bound_lhs, envelope_cutoff_integral, run_suite,
+from polaron2d import (KernelPoint, ModelParams, QuadratureError,
+                       QuadratureSpec, a_scale, alpha_m, bound_lhs, envelope_cutoff_integral, run_suite,
                        verify_bound_chain, verify_disk_area,
                        verify_momentum_bounds, verify_rearrangement,
                        verify_sigma_minus, verify_tail_integral,
                        verify_u_integral_bound)
 from polaron2d import verify
+from polaron2d._quad import adaptive_gk15
 from polaron2d.verify import (_envelope_circle_integral,
                               _shifted_envelope_integral)
 
 from oracles import envelope_circle_quad
+
+REARRANGEMENT_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
+                                    max_subdivisions=400)
+
+
+@pytest.fixture
+def lockstep_runs(monkeypatch):
+    """Record every ``verify._lockstep_integrals`` call: its intervals and
+    values, the rows it hands to ``lockstep_gk15`` and the integrand calls
+    made there."""
+    runs = []
+    real_integrals = verify._lockstep_integrals
+    real_lockstep = verify.lockstep_gk15
+
+    def lockstep(f, n, *args, **kwargs):
+        run = runs[-1]
+        run["rows"] += n
+
+        def counted(x, rows):
+            run["calls"] += 1
+            return f(x, rows)
+
+        return real_lockstep(counted, n, *args, **kwargs)
+
+    def integrals(f, lo, hi, quad, panels=1):
+        runs.append({"lo": lo, "hi": hi, "rows": 0, "calls": 0})
+        runs[-1]["values"] = real_integrals(f, lo, hi, quad, panels)
+        return runs[-1]["values"]
+
+    monkeypatch.setattr(verify, "lockstep_gk15", lockstep)
+    monkeypatch.setattr(verify, "_lockstep_integrals", integrals)
+    return runs
+
+
+# Per-sample loops of the three quadrature cases: the samples each case
+# draws, one scalar adaptive_gk15 call per sample.  Each returns the
+# integral of every sample and the bisection rounds it took.
+
+def _scalar(f, a, b, quad, panels=1):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    val = adaptive_gk15(counted, a, b, quad.rel_tol, quad.abs_tol,
+                        quad.max_subdivisions, panels=panels)
+    # a first pass, then two panel calls per bisection
+    return val, (len(calls) - 1) // 2
+
+
+def _tail_loop(samples, seed, quad):
+    rng = np.random.default_rng(seed)
+    lams = 10.0 ** rng.uniform(-2, 2, samples)
+    mus = -(10.0 ** rng.uniform(-2, 2, samples))
+    return [_scalar(lambda t, c=lam - mu: 1.0 / (c * (1.0 - t) + t) ** 2,
+                    0.0, 1.0, quad)
+            for lam, mu in zip(lams.tolist(), mus.tolist())]
+
+
+def _disk_loop(samples, seed, quad):
+    rng = np.random.default_rng(seed)
+    lams = 10.0 ** rng.uniform(-2, 2, samples)
+    return [_scalar(lambda th, lam=lam: 2.0 * lam * np.cos(th) ** 2,
+                    -0.5 * math.pi, 0.5 * math.pi, quad)
+            for lam in lams.tolist()]
+
+
+def _rearrangement_loop(samples, seed, quad):
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * math.pi, samples)
+    vmag = rng.uniform(0.0, 10.0, samples)
+    u = rng.uniform(0.0, 1.0, samples)
+    tau = rng.uniform(0.0, 10.0, samples)
+    psq = rng.uniform(0.0, 100.0, samples)
+    mu = -(10.0 ** rng.uniform(-1.0, 1.0, samples))
+    lam = 10.0 ** rng.uniform(-1.0, 1.0, samples)
+    M = rng.uniform(0.2, 50.0, samples)
+    out = []
+    for i in range(samples):
+        pars = ModelParams(float(M[i]), -1.0)
+        k = KernelPoint(u=float(u[i]), tau=float(tau[i]), psq=float(psq[i]),
+                        mu=float(mu[i]), lam=float(lam[i]))
+        ku = pars.mass_ratio + 1.0 - k.u
+        A = a_scale(k, pars)
+        vnorm = math.hypot(vmag[i] * math.cos(angles[i]),
+                           vmag[i] * math.sin(angles[i]))
+        target = max(1e-3 * quad.rel_tol * envelope_cutoff_integral(k, pars),
+                     1e-280)
+        R = max(2.0 * vnorm + 4.0 * math.sqrt(k.lam),
+                math.sqrt(2.0 * math.pi / (ku * ku * target)))
+        out.append(_scalar(
+            lambda eta, v=vnorm, A=A, ku=ku:
+                _envelope_circle_integral(np.exp(eta), v, A, ku),
+            math.log(math.sqrt(k.lam)), math.log(R), quad, panels=8))
+    return out
+
+
+CASE_LOOPS = {
+    "resolvent_tail_integral": (_tail_loop, QuadratureSpec()),
+    "cutoff_disk_area": (_disk_loop, QuadratureSpec()),
+    "rearrangement": (_rearrangement_loop, REARRANGEMENT_QUAD),
+}
 
 
 class TestTailIntegral:
@@ -33,21 +137,14 @@ class TestTailIntegral:
             row = verify_tail_integral(lam, mu)
             assert row.max_violation < 1e-10
 
-    def test_uncapped_tail_sample_count(self, monkeypatch):
-        # every sample is checked, however many; one real tail check
-        # stands in for each, so that 20001 samples stay cheap
-        row = verify_tail_integral(1.0, -1.0)
-        lams = []
-
-        def stub(lam, mu, quad, tol):
-            lams.append(lam)
-            return row
-
-        monkeypatch.setattr(verify, "verify_tail_integral", stub)
+    def test_uncapped_tail_sample_count(self, lockstep_runs):
+        # every sample is integrated, however many: the tail case, which
+        # runs first, hands all 20001 rows to lockstep_gk15
         report = run_suite("integrals", samples=20_001, seed=2)
         tail = next(c for c in report.cases
                     if c.name == "resolvent_tail_integral")
-        assert tail.samples_run == len(lams) == 20_001
+        assert tail.samples_run == lockstep_runs[0]["rows"] == 20_001
+        assert np.all(np.isfinite(lockstep_runs[0]["values"]))
 
 
 class TestDiskArea:
@@ -188,17 +285,68 @@ class TestRearrangement:
         assert row.samples_run == 2500
         assert row.passed
 
-    def test_radial_cost_of_one_sample(self, params_m2, integrand_calls):
-        # one first pass plus at most one bisection at an unshifted point;
-        # more calls mean the radial rule regressed
-        calls = integrand_calls(verify)
+    def test_radial_cost_of_one_sample(self, params_m2, lockstep_runs):
+        # one first pass plus at most one lockstep round at an unshifted
+        # point; more calls mean the radial rule regressed
         k = KernelPoint(u=0.3, tau=0.5, psq=2.0, mu=-1.0, lam=1.5)
         quad = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
                               max_subdivisions=400)
         rhs = envelope_cutoff_integral(k, params_m2)
         lhs = _shifted_envelope_integral((0.0, 0.0), k, params_m2, quad, rhs)
         assert 0.0 < lhs < rhs
-        assert 1 <= len(calls) <= 3
+        (run,) = lockstep_runs
+        assert run["rows"] == 1
+        assert 1 <= run["calls"] <= 2
+
+
+class TestLockstep:
+    """The tail, disk and rearrangement cases integrate their samples in
+    lockstep chunks; each must equal its per-sample loop."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(CASE_LOOPS))
+    def test_values_equal_per_sample_loop(self, case, seed, lockstep_runs):
+        loop, quad = CASE_LOOPS[case]
+        _, tol, runner = verify._CASES[case]
+        row = runner(500, seed, tol, None)
+        want = np.array([val for val, _ in loop(500, seed, quad)])
+        (run,) = lockstep_runs
+        np.testing.assert_allclose(run["values"], want, rtol=1e-14, atol=0)
+        assert row.samples_run == run["rows"] == 500
+        assert row.passed
+
+    @pytest.mark.parametrize("case", sorted(CASE_LOOPS))
+    def test_integrand_calls_per_chunk(self, case, lockstep_runs):
+        # a chunk costs one first pass plus one call per lockstep round,
+        # and needs no more rounds than its slowest sample; a per-sample
+        # loop makes at least one call per sample
+        loop, quad = CASE_LOOPS[case]
+        _, tol, runner = verify._CASES[case]
+        runner(500, 1, tol, None)
+        most_rounds = max(rounds for _, rounds in loop(500, 1, quad))
+        chunks = -(-500 // verify._ROW_CHUNK)
+        (run,) = lockstep_runs
+        assert run["rows"] == 500
+        assert run["calls"] <= chunks * (1 + most_rounds)
+        assert run["calls"] < run["rows"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["rearrangement",
+                                      "resolvent_tail_integral"])
+    def test_error_of_the_first_failing_sample(self, case, seed):
+        loop, _ = CASE_LOOPS[case]
+        quad = QuadratureSpec(max_subdivisions=1)
+        with pytest.raises(QuadratureError) as want:
+            loop(500, seed, quad)
+        with pytest.raises(QuadratureError) as got:
+            verify._CASES[case][2](500, seed, 1.0, quad)
+        assert str(got.value) == str(want.value)
+
+    def test_disk_converges_on_one_bisection(self):
+        # cos^2 needs at most one bisection, so no disk sample fails
+        quad = QuadratureSpec(max_subdivisions=1)
+        _disk_loop(500, 1, quad)
+        assert verify._case_disk_area(500, 1, 1e-12, quad).passed
 
 
 class TestBoundChain:
