@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from polaron2d import (KernelPoint, ModelParams, QuadratureError,
-                       QuadratureSpec, a_scale, alpha_m, bound_lhs, envelope_cutoff_integral, run_suite,
+                       QuadratureSpec, a_scale, alpha_m, bound_lhs,
+                       envelope_cutoff_integral, run_suite,
                        verify_bound_chain, verify_disk_area,
                        verify_momentum_bounds, verify_rearrangement,
                        verify_sigma_minus, verify_tail_integral,
@@ -23,9 +24,8 @@ REARRANGEMENT_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
 
 @pytest.fixture
 def lockstep_runs(monkeypatch):
-    """Record every ``verify._lockstep_integrals`` call: its intervals and
-    values, the rows it hands to ``lockstep_gk15`` and the integrand calls
-    made there."""
+    """Record every ``verify._lockstep_integrals`` call: its values, the
+    rows it hands to ``lockstep_gk15`` and the integrand calls made there."""
     runs = []
     real_integrals = verify._lockstep_integrals
     real_lockstep = verify.lockstep_gk15
@@ -41,7 +41,7 @@ def lockstep_runs(monkeypatch):
         return real_lockstep(counted, n, *args, **kwargs)
 
     def integrals(f, lo, hi, quad, panels=1):
-        runs.append({"lo": lo, "hi": hi, "rows": 0, "calls": 0})
+        runs.append({"rows": 0, "calls": 0})
         runs[-1]["values"] = real_integrals(f, lo, hi, quad, panels)
         return runs[-1]["values"]
 
