@@ -5,10 +5,15 @@ routines here; the angular integrals of the C estimate and of the
 rearrangement check are elementary and are evaluated exactly by their
 callers.  ``adaptive_gk15`` integrates one function; ``lockstep_gk15``
 runs the same algorithm for many integrands at once, batching only their
-evaluations, which is what the C grid scan uses.  Both share one
-convergence test and one failure message.  The test suite deliberately
-uses scipy.integrate for its oracles, so the two integration paths never
-share code.
+evaluations.  The lockstep users are the C estimate, for the radial
+integrals of its grid scan and of its Nelder-Mead refinement
+(``cconstant._objective_rows``), and the resolvent tail, cutoff disk and
+rearrangement cases of the verification suite
+(``verify._lockstep_integrals``); ``adaptive_gk15`` serves single
+integrals such as ``cconstant.inner_integral`` and ``verify_sigma_minus``.
+Both share one convergence test and one failure message.  The test suite
+deliberately uses scipy.integrate for its oracles, so the two integration
+paths never share code.
 """
 
 from __future__ import annotations
@@ -60,11 +65,14 @@ def leggauss(n: int):
     return x, w
 
 
-def _converged(total: float, total_err: float, total_abs: float,
-               rel_tol: float, abs_tol: float) -> bool:
+def _converged(total, total_err, total_abs, rel_tol: float,
+               abs_tol: float):
+    """The convergence test, on floats or on arrays of per-row totals."""
     # round-off floor: below this the error estimate is noise
     floor = 50.0 * _EPS * total_abs
-    return total_err <= max(abs_tol, rel_tol * abs(total), floor)
+    # fmax passes over a NaN operand, as max(abs_tol, ...) would
+    return total_err <= np.fmax(np.fmax(abs_tol, rel_tol * np.abs(total)),
+                                floor)
 
 
 def _budget_error(a: float, b: float, total_err: float,
@@ -73,17 +81,6 @@ def _budget_error(a: float, b: float, total_err: float,
         f"integral over [{a}, {b}] did not converge: "
         f"estimated error {total_err:.3e} after {max_subdivisions} subdivisions"
     )
-
-
-def _panel(f, lo: float, hi: float):
-    # on plain floats, not numpy scalars: every scalar bisection runs this
-    half = 0.5 * (hi - lo)
-    x = 0.5 * (hi + lo) + half * _XK
-    y = np.asarray(f(x), dtype=float)
-    ik = half * float(_WK @ y)
-    ig = half * float(_WG @ y[1::2])
-    resabs = half * float(_WK @ np.abs(y))
-    return ik, abs(ik - ig), resabs
 
 
 def _gk15(y, half):
@@ -122,6 +119,20 @@ def _first_pass(f, a: float, b: float, panels: int):
             float(resabs.sum()))
 
 
+def _halves(f, lo: float, mid: float, hi: float):
+    """GK15 sums of the panels [lo, mid] and [mid, hi], one call of ``f``
+    each, as three pairs: Kronrod values, error estimates, |f| integrals.
+
+    The sums of both halves are one product, as in a round of
+    :func:`lockstep_gk15`, so that a single integrand gets the same bits
+    from both routines.
+    """
+    x, half = _nodes(np.array([lo, mid]), np.array([mid, hi]))
+    y = np.stack([np.asarray(f(x[0]), dtype=float),
+                  np.asarray(f(x[1]), dtype=float)])
+    return (v.tolist() for v in _gk15(y, half))
+
+
 def adaptive_gk15(f, a: float, b: float, rel_tol: float, abs_tol: float,
                   max_subdivisions: int = 200, panels: int = 1) -> float:
     """Integrate ``f`` over [a, b] to the requested tolerance.
@@ -129,26 +140,20 @@ def adaptive_gk15(f, a: float, b: float, rel_tol: float, abs_tol: float,
     ``f`` must accept a 1-D numpy array of abscissae and return values of
     the same shape.  The first pass splits [a, b] into ``panels`` equal
     panels and evaluates all of them in one call of ``f``; bisection of the
-    worst panel then proceeds one panel pair at a time.  Raises
-    QuadratureError if ``max_subdivisions`` bisection steps do not suffice.
+    worst panel then proceeds one panel pair at a time, one call of ``f``
+    per half.  Raises QuadratureError if ``max_subdivisions`` bisection
+    steps do not suffice.
     """
     if a == b:
         return 0.0
-    if panels == 1:
-        # one panel needs no batching; this keeps the scalar callers' cost
-        ik, err, resabs = _panel(f, a, b)
-        heap = [(-err, 0, a, b, ik, err)]
-        total, total_err, total_abs = ik, err, resabs
-    else:
-        heap, total, total_err, total_abs = _first_pass(f, a, b, panels)
+    heap, total, total_err, total_abs = _first_pass(f, a, b, panels)
     counter = panels
     for _ in range(max_subdivisions):
         if _converged(total, total_err, total_abs, rel_tol, abs_tol):
             return total
-        neg_err, _, lo, hi, ik0, err0 = heapq.heappop(heap)
+        _, _, lo, hi, ik0, err0 = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        ik1, err1, ra1 = _panel(f, lo, mid)
-        ik2, err2, ra2 = _panel(f, mid, hi)
+        (ik1, ik2), (err1, err2), (ra1, ra2) = _halves(f, lo, mid, hi)
         total += ik1 + ik2 - ik0
         total_err += err1 + err2 - err0
         total_abs += ra1 + ra2  # monotone overestimate is fine for the floor
@@ -172,7 +177,20 @@ def lockstep_gk15(f, n: int, a: float, b: float, rel_tol: float,
     worst-panel order, convergence test and budget); only the evaluations
     are batched, into one call of ``f`` for the first pass of all
     integrands and then one call per round for the two halves of the worst
-    panel of every integrand not yet converged.
+    panel of every integrand not yet converged.  With one integrand the
+    values are those of :func:`adaptive_gk15` bit for bit.  With several,
+    the panel sums of a round are one matrix product, and BLAS may sum a
+    row in an order that depends on its position, so the rows agree with
+    :func:`adaptive_gk15` to the last bits.
+
+    The per-integrand state lives in numpy arrays: the running totals, and
+    a panel store with one row per unconverged integrand and one column
+    per panel in the order of :func:`adaptive_gk15`'s heap counter (the
+    first-pass panels left to right, then the two halves of each bisected
+    panel).  A bisected panel is masked out of the store, and the worst
+    panel is the first maximum of the error estimates, so ties go to the
+    lowest counter as in the heap.  Converged rows leave the store, and it
+    grows by doubling as rounds are added, never to the budget up front.
 
     Returns ``(values, failures)``: an (n,) array, and a list holding
     ``None`` for each converged integrand and the QuadratureError that
@@ -188,41 +206,45 @@ def lockstep_gk15(f, n: int, a: float, b: float, rel_tol: float,
     y = np.asarray(f(np.broadcast_to(x.ravel(), (n, x.size)), rows),
                    dtype=float).reshape(n, *x.shape)
     ik, err, resabs = _gk15(y, half)
-    edge_list = edges.tolist()
-    heaps = [_heap(edge_list, ik[i], err[i]) for i in range(n)]
-    total = ik.sum(axis=1).tolist()
-    total_err = err.sum(axis=1).tolist()
-    total_abs = resabs.sum(axis=1).tolist()
-    counter = panels
-    active = list(range(n))
+    total, total_err, total_abs = (v.sum(axis=1) for v in (ik, err, resabs))
+    # store[:, i, j]: (lo, hi, Kronrod value, error) of panel j of rows[i]
+    store = np.empty((4, n, panels + 2))
+    store[0, :, :panels] = edges[:-1]
+    store[1, :, :panels] = edges[1:]
+    store[2, :, :panels] = ik
+    store[3, :, :panels] = err
+    used = panels
     for _ in range(max_subdivisions):
-        active = [i for i in active if not _converged(
-            total[i], total_err[i], total_abs[i], rel_tol, abs_tol)]
-        if not active:
-            break
-        popped = [heapq.heappop(heaps[i]) for i in active]
-        bounds = np.array([(lo, 0.5 * (lo + hi), hi)
-                           for _, _, lo, hi, _, _ in popped])
-        x, half = _nodes(bounds[:, [0, 1]].ravel(), bounds[:, [1, 2]].ravel())
-        m = len(active)
-        y = np.asarray(f(x.reshape(m, -1), np.array(active)),
-                       dtype=float).reshape(x.shape)
-        ik, err, resabs = (v.reshape(m, 2).tolist() for v in _gk15(y, half))
-        for j, i in enumerate(active):
-            _, _, lo, hi, ik0, err0 = popped[j]
-            mid = 0.5 * (lo + hi)
-            (ik1, ik2), (err1, err2), (ra1, ra2) = ik[j], err[j], resabs[j]
-            total[i] += ik1 + ik2 - ik0
-            total_err[i] += err1 + err2 - err0
-            total_abs[i] += ra1 + ra2
-            heapq.heappush(heaps[i], (-err1, counter, lo, mid, ik1, err1))
-            heapq.heappush(heaps[i], (-err2, counter + 1, mid, hi, ik2, err2))
-        counter += 2
-    for i in active:
-        if not _converged(total[i], total_err[i], total_abs[i], rel_tol,
-                          abs_tol):
-            failures[i] = _budget_error(a, b, total_err[i], max_subdivisions)
-    return np.array(total), failures
+        keep = ~_converged(total[rows], total_err[rows], total_abs[rows],
+                           rel_tol, abs_tol)
+        if not keep.all():
+            rows, store = rows[keep], store[:, keep]
+            if not len(rows):
+                break
+        if used + 2 > store.shape[2]:
+            grown = np.empty(store.shape[:2] + (2 * store.shape[2],))
+            grown[:, :, :used] = store[:, :, :used]
+            store = grown
+        m = len(rows)
+        worst = np.arange(m), store[3, :, :used].argmax(axis=1)
+        lo, hi, ik0, err0 = store[:, worst[0], worst[1]]
+        store[3][worst] = -np.inf
+        mid = 0.5 * (lo + hi)
+        x, half = _nodes(np.column_stack([lo, mid]).ravel(),
+                         np.column_stack([mid, hi]).ravel())
+        y = np.asarray(f(x.reshape(m, -1), rows), dtype=float).reshape(x.shape)
+        ik, err, resabs = (v.reshape(m, 2) for v in _gk15(y, half))
+        total[rows] += ik[:, 0] + ik[:, 1] - ik0
+        total_err[rows] += err[:, 0] + err[:, 1] - err0
+        total_abs[rows] += resabs[:, 0] + resabs[:, 1]
+        store[:, :, used] = lo, mid, ik[:, 0], err[:, 0]
+        store[:, :, used + 1] = mid, hi, ik[:, 1], err[:, 1]
+        used += 2
+    for i in rows[~_converged(total[rows], total_err[rows], total_abs[rows],
+                              rel_tol, abs_tol)]:
+        failures[i] = _budget_error(a, b, float(total_err[i]),
+                                    max_subdivisions)
+    return total, failures
 
 
 def arc_adaptive_batch(f, lo, hi, rel_tol: float, abs_tol: float,

@@ -3,9 +3,14 @@
 The energy bound is the root of a transcendental equation assembled from
 the mass constant ``alpha_m``, the piecewise coefficient ``beta`` and a
 family of cutoff kernel integrals.  Everything here is a pure function of
-its arguments; momenta enter only through their squared magnitudes.  All
-functions broadcast over numpy arrays and return plain floats for scalar
-input.
+its arguments; momenta enter only through their squared magnitudes.  The
+functions of a momentum or energy argument broadcast over numpy arrays and
+return plain floats for scalar input.  ``beta``, ``a_scale``,
+``envelope_cutoff_integral``, ``bound_lhs`` and ``bound_lhs_alt`` also
+broadcast over arrays held in the fields of ``ModelParams`` and
+``KernelPoint``, one entry per sample.  Such an array evaluation equals
+the loop of scalar calls bit for bit, and an array with an out-of-range
+entry raises the ValueError of the scalar call on the first such entry.
 """
 
 from __future__ import annotations
@@ -32,17 +37,18 @@ class ModelParams:
     mass_ratio: impurity mass in units of the fermion mass (M > 0).
     binding_energy: two-body ground-state energy E_B < 0; the free
     coupling parameter of the model.
+    Either field may be an array of per-sample values (module docstring).
     """
 
     mass_ratio: float
     binding_energy: float
 
     def __post_init__(self):
-        if not self.mass_ratio > 0:
-            raise ValueError(f"mass_ratio must be positive, got {self.mass_ratio}")
-        if not self.binding_energy < 0:
-            raise ValueError(
-                f"binding_energy must be negative, got {self.binding_energy}")
+        ok_m, ok_eb = self.mass_ratio > 0, self.binding_energy < 0
+        if ok_m is not True or ok_eb is not True:  # invalid, or arrays
+            _check(ok_m, self.mass_ratio, "mass_ratio must be positive, got {}")
+            _check(ok_eb, self.binding_energy,
+                   "binding_energy must be negative, got {}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,8 @@ class KernelPoint:
 
     tau is a spectral value of the free fermion energy, psq a squared
     momentum, mu the (negative) trial energy and lam the infrared cutoff,
-    a squared-momentum threshold.
+    a squared-momentum threshold.  The fields may be arrays of per-sample
+    values (module docstring).
     """
 
     u: float
@@ -83,19 +90,48 @@ class KernelPoint:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 <= self.u <= 1.0:
-            raise ValueError(f"u must lie in [0, 1], got {self.u}")
-        if self.tau < 0 or self.psq < 0:
-            raise ValueError("tau and psq must be nonnegative")
-        if not self.mu < 0:
-            raise ValueError(f"mu must be negative, got {self.mu}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        _check((0.0 <= self.u) & (self.u <= 1.0), self.u,
+               "u must lie in [0, 1], got {}")
+        _check(np.logical_not((self.tau < 0) | (self.psq < 0)), None,
+               "tau and psq must be nonnegative")
+        _check(self.mu < 0, self.mu, "mu must be negative, got {}")
+        _check(self.lam > 0, self.lam, "lam must be positive, got {}")
 
 
-def _match(x, out):
-    """Return a bare float when the input was scalar."""
-    if np.ndim(x) == 0:
+def _check(ok, value, message: str) -> None:
+    """Raise ValueError(message) unless ``ok`` holds everywhere.
+
+    ``ok`` is a test of ``value``: a bool for scalar input, an array of
+    them for array input.  The message is formatted with the first entry
+    of ``value`` that fails, so an array fails as the scalar call would.
+    """
+    if ok is True:
+        return
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    if value is not None and ok.ndim:
+        value = np.broadcast_to(value, ok.shape)[~ok][0].item()
+    raise ValueError(message.format(value))
+
+
+def _math_map(fn, *args):
+    """The ``math`` function ``fn`` applied entry by entry to arrays.
+
+    numpy's SIMD kernels for log, log1p and hypot differ from the C
+    library's in the last bit on some inputs (on AVX-512 hosts about 2 %
+    of log1p values), and the scalar paths use ``math``; this keeps an
+    array evaluation equal to the loop of scalar calls.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    flat = (np.broadcast_to(a, shape).ravel().tolist() for a in args)
+    return np.fromiter(map(fn, *flat), float,
+                       math.prod(shape)).reshape(shape)
+
+
+def _match(out):
+    """Return a bare float when the result is 0-d."""
+    if np.ndim(out) == 0:
         return float(out)
     return out
 
@@ -116,7 +152,7 @@ def beta(u, params: ModelParams):
     if np.any((ua < 0.0) | (ua > 1.0)):
         raise ValueError("u must lie in [0, 1]")
     ratio = (M + 1.0 - ua) * (M + 2.0) / (M * M + 3.0 * M + 1.0 - ua)
-    return _match(u, np.minimum(1.0, ratio))
+    return _match(np.minimum(1.0, ratio))
 
 
 def alpha_m(params: ModelParams) -> float:
@@ -151,8 +187,7 @@ def coupling_alpha(params: ModelParams) -> float:
 def _check_mu_lam(mu, lam):
     if np.any(np.asarray(mu) >= 0.0):
         raise ValueError("mu must be negative")
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
+    _check(lam > 0.0, lam, "lam must be positive")
 
 
 def bound_lhs(mu, lam: float, params: ModelParams, alpham: float):
@@ -177,7 +212,7 @@ def bound_lhs(mu, lam: float, params: ModelParams, alpham: float):
            - np.sqrt(lam / (lam - mua))
            - alpham * np.log(eb * (1.0 / mua - 1.0 / lam))
            - alpham)
-    return _match(mu, val)
+    return _match(val)
 
 
 def bound_lhs_alt(mu, lam: float, params: ModelParams, alpham: float):
@@ -199,7 +234,7 @@ def bound_lhs_alt(mu, lam: float, params: ModelParams, alpham: float):
            - np.sqrt(lam / (lam - mua))
            - alpham * np.log1p(-mua / lam)
            - alpham)
-    return _match(mu, val)
+    return _match(val)
 
 
 def a_scale(k: KernelPoint, params: ModelParams) -> float:
@@ -208,8 +243,7 @@ def a_scale(k: KernelPoint, params: ModelParams) -> float:
     Strictly positive, and bounded above by tau + psq - mu.
     """
     M = params.mass_ratio
-    if not k.u < M + 1.0:
-        raise ValueError("u must be smaller than M+1")
+    _check(k.u < M + 1.0, None, "u must be smaller than M+1")
     return M * (k.tau + beta(k.u, params) * k.psq - k.mu) / (M + 1.0 - k.u)
 
 
@@ -225,7 +259,7 @@ def kernel_envelope(qsq, k: KernelPoint, params: ModelParams):
     qa = np.asarray(qsq, dtype=float)
     if np.any(qa < 0.0):
         raise ValueError("qsq must be nonnegative")
-    return _match(qsq, 1.0 / (denom * (qa + A)))
+    return _match(1.0 / (denom * (qa + A)))
 
 
 def j_weight(qsq, lam: float):
@@ -236,7 +270,7 @@ def j_weight(qsq, lam: float):
     qa = np.asarray(qsq, dtype=float)
     if np.any(qa < 0.0):
         raise ValueError("qsq must be nonnegative")
-    return _match(qsq, 1.0 / np.where(qa <= lam, lam, qa))
+    return _match(1.0 / np.where(qa <= lam, lam, qa))
 
 
 def envelope_cutoff_integral(k: KernelPoint, params: ModelParams) -> float:
@@ -249,5 +283,8 @@ def envelope_cutoff_integral(k: KernelPoint, params: ModelParams) -> float:
     M = params.mass_ratio
     A = a_scale(k, params)
     lam = k.lam
-    pref = math.pi / (2.0 * (M + 1.0 - k.u) ** 2 * A)
-    return pref * ((A / lam) * math.log1p(lam / A) + math.log1p(A / lam))
+    # float_power is the C library's pow, as ** on Python floats; numpy's
+    # ** 2 squares instead, which differs in the last bit on some inputs
+    pref = math.pi / (2.0 * np.float_power(M + 1.0 - k.u, 2) * A)
+    return _match(pref * ((A / lam) * _math_map(math.log1p, lam / A)
+                          + _math_map(math.log1p, A / lam)))

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._quad import QuadratureError, adaptive_gk15, leggauss, lockstep_gk15
-from .corefuncs import (KernelPoint, ModelParams, QuadratureSpec, a_scale,
-                        alpha_m, bound_lhs, bound_lhs_alt,
+from .corefuncs import (KernelPoint, ModelParams, QuadratureSpec, _math_map,
+                        a_scale, alpha_m, bound_lhs, bound_lhs_alt,
                         envelope_cutoff_integral)
 
 __all__ = [
@@ -392,10 +392,11 @@ def _envelope_circle_integral(r, vnorm: float, A: float, ku: float):
                                         * ((r + vnorm) ** 2 + A)))
 
 
-def _radial_range(v, k: KernelPoint, params: ModelParams,
-                  quad: QuadratureSpec, rhs_scale: float) -> tuple:
-    """Constants of one sample's radial integral: (|v|, A, M+1-u) and its
-    range [log sqrt(lam), log R] in eta = log r.
+def _radial_ranges(vnorm, k: KernelPoint, params: ModelParams,
+                   quad: QuadratureSpec, rhs_scale) -> tuple:
+    """Constants of the radial integrals, one entry per sample of ``k``
+    and ``params``: (A, M+1-u) and the range [log sqrt(lam), log R] in
+    eta = log r.
 
     R is the radius whose discarded tail is below
     1e-3 * quad.rel_tol * rhs_scale by the comparison bound
@@ -403,17 +404,17 @@ def _radial_range(v, k: KernelPoint, params: ModelParams,
     """
     ku = params.mass_ratio + 1.0 - k.u
     A = a_scale(k, params)
-    vnorm = math.hypot(float(v[0]), float(v[1]))
-    tail_target = max(1e-3 * quad.rel_tol * rhs_scale, 1e-280)
-    R = max(2.0 * vnorm + 4.0 * math.sqrt(k.lam),
-            math.sqrt(2.0 * math.pi / (ku * ku * tail_target)))
-    return vnorm, A, ku, math.log(math.sqrt(k.lam)), math.log(R)
+    tail_target = np.maximum(1e-3 * quad.rel_tol * rhs_scale, 1e-280)
+    R = np.maximum(2.0 * vnorm + 4.0 * np.sqrt(k.lam),
+                   np.sqrt(2.0 * math.pi / (ku * ku * tail_target)))
+    return (A, ku, _math_map(math.log, np.sqrt(k.lam)),
+            _math_map(math.log, R))
 
 
-def _shifted_envelope_integrals(ranges, quad: QuadratureSpec) -> np.ndarray:
+def _shifted_envelope_integrals(vnorm, A, ku, lo, hi,
+                                quad: QuadratureSpec) -> np.ndarray:
     """The radial integrals of :func:`_shifted_envelope_integral`, one per
-    row (|v|, A, M+1-u, eta_lo, eta_hi) of ``ranges``."""
-    vnorm, A, ku, lo, hi = np.array(ranges, dtype=float).T
+    entry of the arrays |v|, A, M+1-u, eta_lo and eta_hi."""
 
     def radial(eta, rows):
         # dq = r dr dtheta and the integrand carries 1/r^2; in eta = log r
@@ -431,10 +432,12 @@ def _shifted_envelope_integral(v, k: KernelPoint, params: ModelParams,
     Polar coordinates; the angular integral is the closed form of
     :func:`_envelope_circle_integral`, and the radial integral runs
     adaptively in log r, first pass eight equal GK15 panels, up to the
-    radius R of :func:`_radial_range`.
+    radius R of :func:`_radial_ranges`.
     """
+    vnorm = math.hypot(float(v[0]), float(v[1]))
+    ranges = _radial_ranges(vnorm, k, params, quad, rhs_scale)
     return float(_shifted_envelope_integrals(
-        [_radial_range(v, k, params, quad, rhs_scale)], quad)[0])
+        *np.atleast_1d(vnorm, *ranges), quad)[0])
 
 
 def verify_rearrangement(samples: int, seed: int,
@@ -449,7 +452,8 @@ def verify_rearrangement(samples: int, seed: int,
         <= int j_weight(q^2) * envelope(q^2) dq  (closed form).
 
     Left side by radial quadrature of the closed-form circle integral,
-    the samples in lockstep chunks; right side by envelope_cutoff_integral.
+    the samples in lockstep chunks; right side by envelope_cutoff_integral,
+    evaluated on the arrays of all samples at once.
     """
     quad = quad or QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
                                   max_subdivisions=400)
@@ -464,22 +468,19 @@ def verify_rearrangement(samples: int, seed: int,
     M = (np.full(samples, params.mass_ratio) if params is not None
          else rng.uniform(*_M_BOX, samples))
 
-    rhs = np.empty(samples)
-    ranges = []
-    for i in range(samples):
-        pars = ModelParams(float(M[i]), -1.0)
-        k = KernelPoint(u=float(u[i]), tau=float(tau[i]), psq=float(psq[i]),
-                        mu=float(mu[i]), lam=float(lam[i]))
-        rhs[i] = envelope_cutoff_integral(k, pars)
-        v = (vmag[i] * math.cos(angles[i]), vmag[i] * math.sin(angles[i]))
-        ranges.append(_radial_range(v, k, pars, quad, rhs[i]))
-    lhs = _shifted_envelope_integrals(ranges, quad)
+    pars = ModelParams(M, -1.0)
+    k = KernelPoint(u=u, tau=tau, psq=psq, mu=mu, lam=lam)
+    rhs = envelope_cutoff_integral(k, pars)
+    vx = vmag * _math_map(math.cos, angles)
+    vy = vmag * _math_map(math.sin, angles)
+    vnorm = _math_map(math.hypot, vx, vy)
+    lhs = _shifted_envelope_integrals(
+        vnorm, *_radial_ranges(vnorm, k, pars, quad, rhs), quad)
     viol = (lhs - rhs) / rhs
     worst = int(np.argmax(viol))
     violation = max(0.0, float(viol[worst]))
     return _result("rearrangement", samples, violation,
-                   {"v": [float(vmag[worst] * math.cos(angles[worst])),
-                          float(vmag[worst] * math.sin(angles[worst]))],
+                   {"v": [float(vx[worst]), float(vy[worst])],
                     "u": float(u[worst]), "tau": float(tau[worst]),
                     "psq": float(psq[worst]), "mu": float(mu[worst]),
                     "lam": float(lam[worst]), "M": float(M[worst]),
@@ -588,26 +589,27 @@ def _case_lhs_forms(samples, seed, tol, quad):
     """Both algebraic forms of the bound-equation left side agree."""
     rng = np.random.default_rng(seed)
     m_values = np.geomspace(*_M_BOX, 32)
-    alphas = {float(m): alpha_m(ModelParams(float(m), -1.0))
-              for m in m_values}
+    alphas = np.array([alpha_m(ModelParams(float(m), -1.0))
+                       for m in m_values])
     idx = rng.integers(0, len(m_values), samples)
     eb = -(10.0 ** rng.uniform(-1, 1, samples))
     lam = 10.0 ** rng.uniform(-2, 2, samples)
     mu = eb * (10.0 ** rng.uniform(0.0, 3.0, samples))
 
-    violation, worst = 0.0, {}
-    for j in range(samples):
-        m = float(m_values[idx[j]])
-        pars = ModelParams(m, float(eb[j]))
-        a = alphas[m]
-        f1 = bound_lhs(float(mu[j]), float(lam[j]), pars, a)
-        f2 = bound_lhs_alt(float(mu[j]), float(lam[j]), pars, a)
-        gap = abs(f1 - f2) / max(1.0, abs(f1), abs(f2))
-        if gap > violation:
-            violation = gap
-            worst = {"M": m, "E_B": float(eb[j]), "lam": float(lam[j]),
-                     "mu": float(mu[j]), "primary": f1, "alternate": f2}
-    return _result("bound_lhs_forms", samples, violation, worst, tol)
+    pars = ModelParams(m_values[idx], eb)
+    f1 = bound_lhs(mu, lam, pars, alphas[idx])
+    f2 = bound_lhs_alt(mu, lam, pars, alphas[idx])
+    gap = np.abs(f1 - f2) / np.maximum(np.maximum(1.0, np.abs(f1)),
+                                       np.abs(f2))
+    # the first largest gap, and no row when none is positive
+    j = int(np.argmax(gap))
+    if not gap[j] > 0.0:
+        return _result("bound_lhs_forms", samples, 0.0, {}, tol)
+    return _result("bound_lhs_forms", samples, gap[j],
+                   {"M": float(pars.mass_ratio[j]), "E_B": float(eb[j]),
+                    "lam": float(lam[j]), "mu": float(mu[j]),
+                    "primary": float(f1[j]), "alternate": float(f2[j])},
+                   tol)
 
 
 def _case_lhs_monotone(samples, seed, tol, quad):

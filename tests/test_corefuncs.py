@@ -276,3 +276,115 @@ class TestEnvelopeCutoffIntegral:
         asymptote = math.pi / (2 * ku * ku * A) * (1.0 + math.log(A / k.lam))
         assert envelope_cutoff_integral(k, params_m2) == pytest.approx(
             asymptote, rel=1e-6)
+
+
+class TestBroadcasting:
+    """Array fields of ModelParams and KernelPoint, one entry per sample:
+    the values equal a loop of scalar calls bit for bit, and a bad entry
+    raises the scalar call's error."""
+
+    n = 2000
+
+    @staticmethod
+    def draw(rng, n):
+        return {"u": rng.uniform(0.0, 1.0, n),
+                "tau": rng.uniform(0.0, 10.0, n),
+                "psq": rng.uniform(0.0, 100.0, n),
+                "mu": -(10.0 ** rng.uniform(-6.0, 6.0, n)),
+                "lam": 10.0 ** rng.uniform(-6.0, 6.0, n),
+                "M": rng.uniform(0.2, 50.0, n),
+                "eb": -(10.0 ** rng.uniform(-2.0, 2.0, n))}
+
+    @pytest.fixture
+    def draws(self, rng):
+        return self.draw(rng, self.n)
+
+    @staticmethod
+    def scalar(d, i):
+        k = KernelPoint(*(float(d[f][i])
+                          for f in ("u", "tau", "psq", "mu", "lam")))
+        return k, ModelParams(float(d["M"][i]), float(d["eb"][i]))
+
+    @staticmethod
+    def arrays(d):
+        return (KernelPoint(d["u"], d["tau"], d["psq"], d["mu"], d["lam"]),
+                ModelParams(d["M"], d["eb"]))
+
+    @pytest.mark.parametrize("name", ["beta", "a_scale",
+                                      "envelope_cutoff_integral",
+                                      "bound_lhs", "bound_lhs_alt"])
+    def test_equals_loop_of_scalar_calls(self, draws, name):
+        calls = {
+            "beta": lambda k, p: beta(k.u, p),
+            "a_scale": a_scale,
+            "envelope_cutoff_integral": envelope_cutoff_integral,
+            # alpha(M) as a per-sample argument, as the callers pass it
+            "bound_lhs": lambda k, p: bound_lhs(
+                k.mu, k.lam, p, 0.1 + p.mass_ratio / 100.0),
+            "bound_lhs_alt": lambda k, p: bound_lhs_alt(
+                k.mu, k.lam, p, 0.1 + p.mass_ratio / 100.0),
+        }
+        call = calls[name]
+        got = call(*self.arrays(draws))
+        want = [call(*self.scalar(draws, i)) for i in range(self.n)]
+        assert all(type(w) is float for w in want)
+        assert got.shape == (self.n,)
+        np.testing.assert_array_equal(got, np.array(want))
+
+    def test_cutoff_integral_is_the_math_module_closed_form(self, rng):
+        # the closed form on Python floats, with the C library's pow and
+        # log1p, which numpy's SIMD kernels do not reproduce to the last
+        # bit; enough samples that a squared or SIMD path would show
+        n = 50000
+        d = self.draw(rng, n)
+
+        def closed_form(u, tau, psq, mu, lam, M):
+            ku = M + 1.0 - u
+            beta_u = min(1.0, ku * (M + 2.0) / (M * M + 3.0 * M + 1.0 - u))
+            A = M * (tau + beta_u * psq - mu) / ku
+            return (math.pi / (2.0 * ku ** 2 * A)
+                    * ((A / lam) * math.log1p(lam / A) + math.log1p(A / lam)))
+
+        cols = [d[f].tolist() for f in ("u", "tau", "psq", "mu", "lam", "M")]
+        want = np.array([closed_form(*row) for row in zip(*cols)])
+        np.testing.assert_array_equal(
+            envelope_cutoff_integral(*self.arrays(d)), want)
+        for i in range(0, n, 500):
+            assert envelope_cutoff_integral(*self.scalar(d, i)) == want[i]
+
+    @pytest.mark.parametrize("field,bad", [
+        ("u", 1.5), ("u", -0.25), ("tau", -1.0), ("psq", -2.0),
+        ("mu", 0.5), ("lam", 0.0), ("M", -3.0), ("eb", 0.25),
+    ])
+    def test_bad_entry_raises_the_scalar_error(self, draws, field, bad):
+        # the message names the first bad entry
+        j = 137
+        draws[field][j] = bad
+        draws[field][j + 500] = 2.0 * bad - 1.0
+        with pytest.raises(ValueError) as want:
+            self.scalar(draws, j)
+        with pytest.raises(ValueError) as got:
+            self.arrays(draws)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name,arg,bad", [
+        ("beta", 0, 2.0), ("bound_lhs", 0, 1.0), ("bound_lhs", 1, -1.0),
+        ("bound_lhs_alt", 0, 0.0), ("bound_lhs_alt", 1, 0.0),
+    ])
+    def test_bad_argument_entry_raises_the_scalar_error(self, draws, name,
+                                                        arg, bad):
+        # the arguments no dataclass checks: u of beta, mu and lam of the
+        # bound-equation forms
+        fn = {"beta": lambda u, lam, p: beta(u, p),
+              "bound_lhs": lambda mu, lam, p: bound_lhs(mu, lam, p, 0.3),
+              "bound_lhs_alt": lambda mu, lam, p: bound_lhs_alt(mu, lam, p,
+                                                                0.3)}[name]
+        first = "u" if name == "beta" else "mu"
+        j = 11
+        draws[(first, "lam")[arg]][j] = bad
+        with pytest.raises(ValueError) as want:
+            fn(float(draws[first][j]), float(draws["lam"][j]),
+               ModelParams(float(draws["M"][j]), float(draws["eb"][j])))
+        with pytest.raises(ValueError) as got:
+            fn(draws[first], draws["lam"], ModelParams(draws["M"], draws["eb"]))
+        assert str(got.value) == str(want.value)

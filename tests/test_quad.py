@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,60 @@ class TestLockstep:
         assert got.tolist() == [0.0] * 4 and failures == [None] * 4
         got, failures = lockstep_gk15(self.peaked, 0, 0.0, 1.0, 1e-11, 1e-14)
         assert got.shape == (0,) and failures == []
+
+
+    def test_store_grows_on_demand(self):
+        # 128 rows that converge on the first pass under a budget of 10**4;
+        # a panel store sized by the budget would take about 80 MB
+        calls = []
+
+        def smooth(x, rows):
+            calls.append(len(rows))
+            return np.exp(x) * (1.0 + rows[:, None])
+
+        tracemalloc.start()
+        try:
+            got, failures = lockstep_gk15(smooth, 128, 0.0, 1.0, 1e-12,
+                                          1e-14, max_subdivisions=10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == [128] and failures == [None] * 128
+        assert got == pytest.approx((math.e - 1.0) * np.arange(1, 129),
+                                    rel=1e-14)
+        assert peak < 2**20
+
+    def test_long_row_equals_scalar_routine(self):
+        # 356 of a 400-step budget: the store grows many times on the way
+        def f(x):
+            return np.sqrt(np.abs(np.cos(30.0 * x)))
+
+        calls = []
+
+        def rows_f(x, rows):
+            calls.append(x.shape)
+            return f(x)
+
+        got, failures = lockstep_gk15(rows_f, 1, 0.0, 1.0, 1e-12, 1e-14,
+                                      max_subdivisions=400)
+        assert failures == [None] and len(calls) == 1 + 356
+        assert got[0] == adaptive_gk15(f, 0.0, 1.0, 1e-12, 1e-14,
+                                       max_subdivisions=400)
+
+    @pytest.mark.parametrize("panels", [2, 4])
+    @pytest.mark.parametrize("f", [
+        lambda x: 1.0 / (x * x + 0.05 ** 2),
+        lambda x: 1.0 / np.cosh(x / 0.03),
+    ], ids=["lorentzian", "sech"])
+    def test_tied_panels_go_lowest_counter_first(self, f, panels):
+        # even about the midpoint of [-1, 1]: mirrored panels have equal
+        # error estimates, and which one is bisected first shows in the
+        # last bits, so this pins the heap's lowest-counter-first rule
+        got, failures = lockstep_gk15(lambda x, rows: f(x), 1, -1.0, 1.0,
+                                      1e-12, 1e-14, 400, panels)
+        assert failures == [None]
+        assert got[0] == adaptive_gk15(f, -1.0, 1.0, 1e-12, 1e-14, 400,
+                                       panels)
 
 
 class TestArcBatch:

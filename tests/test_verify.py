@@ -84,7 +84,9 @@ def _disk_loop(samples, seed, quad):
             for lam in lams.tolist()]
 
 
-def _rearrangement_loop(samples, seed, quad):
+def _rearrangement_constants(samples, seed, quad):
+    """Per sample, by scalar calls: the right side, and |v|, A, M+1-u and
+    the radial range [eta_lo, eta_hi] of the left side."""
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, samples)
     vmag = rng.uniform(0.0, 10.0, samples)
@@ -103,15 +105,21 @@ def _rearrangement_loop(samples, seed, quad):
         A = a_scale(k, pars)
         vnorm = math.hypot(vmag[i] * math.cos(angles[i]),
                            vmag[i] * math.sin(angles[i]))
-        target = max(1e-3 * quad.rel_tol * envelope_cutoff_integral(k, pars),
-                     1e-280)
+        rhs = envelope_cutoff_integral(k, pars)
+        target = max(1e-3 * quad.rel_tol * rhs, 1e-280)
         R = max(2.0 * vnorm + 4.0 * math.sqrt(k.lam),
                 math.sqrt(2.0 * math.pi / (ku * ku * target)))
-        out.append(_scalar(
-            lambda eta, v=vnorm, A=A, ku=ku:
-                _envelope_circle_integral(np.exp(eta), v, A, ku),
-            math.log(math.sqrt(k.lam)), math.log(R), quad, panels=8))
-    return out
+        out.append((rhs, vnorm, A, ku, math.log(math.sqrt(k.lam)),
+                    math.log(R)))
+    return np.array(out).T
+
+
+def _rearrangement_loop(samples, seed, quad):
+    return [_scalar(lambda eta, v=vnorm, A=A, ku=ku:
+                    _envelope_circle_integral(np.exp(eta), v, A, ku),
+                    lo, hi, quad, panels=8)
+            for _, vnorm, A, ku, lo, hi in
+            _rearrangement_constants(samples, seed, quad).T.tolist()]
 
 
 CASE_LOOPS = {
@@ -347,6 +355,67 @@ class TestLockstep:
         quad = QuadratureSpec(max_subdivisions=1)
         _disk_loop(500, 1, quad)
         assert verify._case_disk_area(500, 1, 1e-12, quad).passed
+
+
+class TestCallsCorefuncs:
+    """The vectorised cases evaluate the corefuncs functions they import,
+    not copies of their formulas: a perturbed function shows in the
+    report."""
+
+    def test_bound_lhs_forms_sees_bound_lhs_alt(self, monkeypatch):
+        assert verify._case_lhs_forms(500, 1, 1e-12, None).passed
+        real = verify.bound_lhs_alt
+        monkeypatch.setattr(verify, "bound_lhs_alt",
+                            lambda *args: real(*args) * (1.0 + 1e-9))
+        row = verify._case_lhs_forms(500, 1, 1e-12, None)
+        assert not row.passed
+        assert row.max_violation > 1e-10
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rearrangement_sees_envelope_cutoff_integral(self, monkeypatch,
+                                                         seed):
+        clean = verify._case_rearrangement(500, seed, 1e-8, None)
+        real = verify.envelope_cutoff_integral
+
+        def scaled(factor):
+            monkeypatch.setattr(verify, "envelope_cutoff_integral",
+                                lambda k, p: real(k, p) * factor)
+            return verify._case_rearrangement(500, seed, 1e-8, None)
+
+        # the right side moves by the factor; the tightest sample keeps a
+        # margin of about 13 %, so this one still passes
+        row = scaled(1.0 - 1e-6)
+        assert row.worst_input["rhs"] != clean.worst_input["rhs"]
+        assert row.worst_input["rhs"] == pytest.approx(
+            clean.worst_input["rhs"] * (1.0 - 1e-6), rel=1e-13)
+        assert row.passed
+        # below that margin the inequality breaks
+        assert not scaled(0.5).passed
+
+    def test_rearrangement_constants_equal_scalar_calls(self, monkeypatch):
+        # the right side and the radial ranges of every sample, bit for bit
+        # against the per-sample loop of scalar corefuncs calls
+        got = {}
+        real_rhs = verify.envelope_cutoff_integral
+        real_integrals = verify._shifted_envelope_integrals
+
+        def rhs(k, p):
+            got["rhs"] = real_rhs(k, p)
+            return got["rhs"]
+
+        def integrals(*args):
+            got["ranges"] = args[:-1]
+            return real_integrals(*args)
+
+        monkeypatch.setattr(verify, "envelope_cutoff_integral", rhs)
+        monkeypatch.setattr(verify, "_shifted_envelope_integrals", integrals)
+        # enough samples to meet inputs where numpy's SIMD log or hypot
+        # differs from the math module's in the last bit
+        verify._case_rearrangement(10000, 3, 1e-8, None)
+        want = _rearrangement_constants(10000, 3, REARRANGEMENT_QUAD)
+        np.testing.assert_array_equal(got["rhs"], want[0])
+        for g, w in zip(got["ranges"], want[1:]):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestBoundChain:
