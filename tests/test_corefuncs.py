@@ -352,15 +352,17 @@ class TestBroadcasting:
         for i in range(0, n, 500):
             assert envelope_cutoff_integral(*self.scalar(d, i)) == want[i]
 
-    @pytest.mark.parametrize("field,bad", [
-        ("u", 1.5), ("u", -0.25), ("tau", -1.0), ("psq", -2.0),
-        ("mu", 0.5), ("lam", 0.0), ("M", -3.0), ("eb", 0.25),
+    @pytest.mark.parametrize("field,bad,later", [
+        ("u", 1.5, 3.0), ("u", -0.25, 2.0), ("tau", -1.0, -2.0),
+        ("psq", -2.0, -1.0), ("mu", 0.5, 0.0), ("lam", 0.0, -1.0),
+        ("M", -3.0, 0.0), ("eb", 0.25, 0.0),
     ])
-    def test_bad_entry_raises_the_scalar_error(self, draws, field, bad):
-        # the message names the first bad entry
+    def test_bad_entry_raises_the_scalar_error(self, draws, field, bad,
+                                               later):
+        # the message names the first of two bad entries
         j = 137
         draws[field][j] = bad
-        draws[field][j + 500] = 2.0 * bad - 1.0
+        draws[field][j + 500] = later
         with pytest.raises(ValueError) as want:
             self.scalar(draws, j)
         with pytest.raises(ValueError) as got:
