@@ -1,30 +1,27 @@
 """Adaptive Gauss-Kronrod quadrature on vectorised callables.
 
 Every integral the package does not have in closed form goes through the
-routines here; the angular integrals of the C estimate and of the
-rearrangement check are elementary and are evaluated exactly by their
-callers.  ``adaptive_gk15`` integrates one function; ``lockstep_gk15``
-runs the same algorithm for many integrands at once, batching only their
-evaluations.  The lockstep users are the C estimate, for the radial
-integrals of its grid scan and of its Nelder-Mead refinement
-(``cconstant._objective_rows``), and the resolvent tail, cutoff disk and
-rearrangement cases of the verification suite
-(``verify._lockstep_integrals``); ``adaptive_gk15`` serves single
-integrals such as ``cconstant.inner_integral`` and ``verify_sigma_minus``.
-Both share one convergence test and one failure message.  The test suite
-deliberately uses scipy.integrate for its oracles, so the two integration
-paths never share code.
+one algorithm here, ``lockstep_gk15``: worst-panel bisection of GK15
+panels, run for many integrands over one interval at once.  The C
+estimate calls it for the radial integrals of its grid scan and its
+Nelder-Mead refinement (``cconstant._objective_rows``).  Two adapters
+sit on it: ``adaptive_gk15``, its one-row call, serves single integrals
+(``cconstant.inner_integral``, ``verify_sigma_minus``), and
+``lockstep_intervals`` gives each row its own interval, for the tail,
+disk and rearrangement cases of the verification suite.
+``arc_adaptive_batch`` is ``lockstep_intervals`` on (m, k) arrays and has
+no production caller.  The angular integrals of the C estimate and of the
+rearrangement check are elementary and are evaluated by their callers.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["QuadratureError", "adaptive_gk15", "arc_adaptive_batch",
-           "leggauss", "lockstep_gk15"]
+           "leggauss", "lockstep_gk15", "lockstep_intervals"]
 
 
 class QuadratureError(RuntimeError):
@@ -98,71 +95,23 @@ def _nodes(lo, hi):
     return (0.5 * (lo + hi))[:, None] + half[:, None] * _XK, half
 
 
-def _heap(edges, ik, err):
-    heap = [(-e, i, lo, hi, k, e) for i, (lo, hi, k, e) in enumerate(
-        zip(edges[:-1], edges[1:], ik.tolist(), err.tolist()))]
-    heapq.heapify(heap)
-    return heap
-
-
-def _first_pass(f, a: float, b: float, panels: int):
-    """``panels`` equal GK15 panels of [a, b] in one call of ``f``.
-
-    Returns the bisection heap and the running totals of the Kronrod
-    values, error estimates and |f| integrals.
-    """
-    edges = np.linspace(a, b, panels + 1)
-    x, half = _nodes(edges[:-1], edges[1:])
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    ik, err, resabs = _gk15(y, half)
-    return (_heap(edges.tolist(), ik, err), float(ik.sum()), float(err.sum()),
-            float(resabs.sum()))
-
-
-def _halves(f, lo: float, mid: float, hi: float):
-    """GK15 sums of the panels [lo, mid] and [mid, hi], one call of ``f``
-    each, as three pairs: Kronrod values, error estimates, |f| integrals.
-
-    The sums of both halves are one product, as in a round of
-    :func:`lockstep_gk15`, so that a single integrand gets the same bits
-    from both routines.
-    """
-    x, half = _nodes(np.array([lo, mid]), np.array([mid, hi]))
-    y = np.stack([np.asarray(f(x[0]), dtype=float),
-                  np.asarray(f(x[1]), dtype=float)])
-    return (v.tolist() for v in _gk15(y, half))
-
-
 def adaptive_gk15(f, a: float, b: float, rel_tol: float, abs_tol: float,
                   max_subdivisions: int = 200, panels: int = 1) -> float:
     """Integrate ``f`` over [a, b] to the requested tolerance.
 
     ``f`` must accept a 1-D numpy array of abscissae and return values of
-    the same shape.  The first pass splits [a, b] into ``panels`` equal
-    panels and evaluates all of them in one call of ``f``; bisection of the
-    worst panel then proceeds one panel pair at a time, one call of ``f``
-    per half.  Raises QuadratureError if ``max_subdivisions`` bisection
-    steps do not suffice.
+    the same shape.  This is :func:`lockstep_gk15` with one integrand: the
+    first pass evaluates ``panels`` equal panels of [a, b] in one call of
+    ``f``, and every bisection then evaluates both halves of the worst
+    panel in one call of 30 points.  Raises QuadratureError if
+    ``max_subdivisions`` bisection steps do not suffice.
     """
-    if a == b:
-        return 0.0
-    heap, total, total_err, total_abs = _first_pass(f, a, b, panels)
-    counter = panels
-    for _ in range(max_subdivisions):
-        if _converged(total, total_err, total_abs, rel_tol, abs_tol):
-            return total
-        _, _, lo, hi, ik0, err0 = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        (ik1, ik2), (err1, err2), (ra1, ra2) = _halves(f, lo, mid, hi)
-        total += ik1 + ik2 - ik0
-        total_err += err1 + err2 - err0
-        total_abs += ra1 + ra2  # monotone overestimate is fine for the floor
-        heapq.heappush(heap, (-err1, counter, lo, mid, ik1, err1))
-        heapq.heappush(heap, (-err2, counter + 1, mid, hi, ik2, err2))
-        counter += 2
-    if _converged(total, total_err, total_abs, rel_tol, abs_tol):
-        return total
-    raise _budget_error(a, b, total_err, max_subdivisions)
+    (value,), (failure,) = lockstep_gk15(
+        lambda x, rows: f(x[0]), 1, a, b, rel_tol, abs_tol,
+        max_subdivisions, panels)
+    if failure is not None:
+        raise failure
+    return float(value)
 
 
 def lockstep_gk15(f, n: int, a: float, b: float, rel_tol: float,
@@ -172,30 +121,32 @@ def lockstep_gk15(f, n: int, a: float, b: float, rel_tol: float,
 
     ``f(x, rows)`` evaluates integrand ``rows[i]`` at the abscissae
     ``x[i]``: ``x`` is 2-D with one row per entry of the integer array
-    ``rows``, and the values come back in the same shape.  Every integrand
-    runs exactly the algorithm of :func:`adaptive_gk15` (first pass,
-    worst-panel order, convergence test and budget); only the evaluations
-    are batched, into one call of ``f`` for the first pass of all
-    integrands and then one call per round for the two halves of the worst
-    panel of every integrand not yet converged.  With one integrand the
-    values are those of :func:`adaptive_gk15` bit for bit.  With several,
-    the panel sums of a round are one matrix product, and BLAS may sum a
-    row in an order that depends on its position, so the rows agree with
-    :func:`adaptive_gk15` to the last bits.
+    ``rows``, and the values come back in the same shape.
 
-    The per-integrand state lives in numpy arrays: the running totals, and
-    a panel store with one row per unconverged integrand and one column
-    per panel in the order of :func:`adaptive_gk15`'s heap counter (the
-    first-pass panels left to right, then the two halves of each bisected
-    panel).  A bisected panel is masked out of the store, and the worst
-    panel is the first maximum of the error estimates, so ties go to the
-    lowest counter as in the heap.  Converged rows leave the store, and it
-    grows by doubling as rounds are added, never to the budget up front.
+    Each integrand runs its own worst-panel bisection (Piessens et al.,
+    QUADPACK, 1983).  The first pass splits [a, b] into ``panels`` equal
+    GK15 panels.  An integrand has converged once its summed error
+    estimate is at most the largest of ``abs_tol``, ``rel_tol`` times its
+    |value| and a round-off floor of 50 eps times its integral of |f|.
+    Until then each round bisects its worst panel, the first maximum of
+    the error estimates in order of creation (the first-pass panels left
+    to right, then the two halves of each bisected panel), so ties go to
+    the oldest panel.  After ``max_subdivisions`` bisections it fails.
+    One call of ``f`` evaluates the first pass of all integrands, then
+    one per round both halves (30 points) of every unconverged one.  The
+    panel sums of a round are one matrix product, and BLAS may sum a row
+    in an order that depends on its position, so a row agrees with its
+    one-row run to the last bits.
+
+    The state lives in numpy arrays: the running totals, and a panel
+    store with one row per unconverged integrand and one column per panel
+    in creation order.  A bisected panel is masked out, converged rows
+    leave, and the store grows by doubling, never to the budget up front.
 
     Returns ``(values, failures)``: an (n,) array, and a list holding
-    ``None`` for each converged integrand and the QuadratureError that
-    :func:`adaptive_gk15` would raise for each other one.  Raising is left
-    to the caller, which may have to order these against its own errors.
+    ``None`` for each converged integrand and a QuadratureError naming
+    [a, b] for each other one.  Raising is left to the caller, which may
+    have to order these against its own errors.
     """
     failures = [None] * n
     if a == b or n == 0:
@@ -247,59 +198,67 @@ def lockstep_gk15(f, n: int, a: float, b: float, rel_tol: float,
     return total, failures
 
 
+# Rows per lockstep_gk15 call of lockstep_intervals.  A batch shares its
+# integrand calls, and the gain levels off at 128 rows: the tail, disk and
+# rearrangement verification cases together took 62, 53, 50, 49 and 53 ms
+# at 32, 64, 128, 256 and 512 rows (500 samples, seeds 1-3, medians of 21
+# runs), and 1.13, 0.99, 0.95, 0.96 and 0.94 s at 10000 samples (one core
+# of a 2-core x86-64 host).  Larger batches only grow the temporaries.
+_ROW_CHUNK = 128
+
+
+def lockstep_intervals(f, lo, hi, rel_tol: float, abs_tol: float,
+                       max_subdivisions: int = 200,
+                       panels: int = 1) -> np.ndarray:
+    """Integral of integrand i over [lo[i], hi[i]], for every i.
+
+    ``f(x, rows)`` evaluates the integrands ``rows`` at the abscissae
+    ``x``, one row of ``x`` per integrand.  Each interval is mapped
+    affinely onto [0, 1] (x = lo + (hi - lo) s, the integrand times
+    hi - lo), and fixed chunks of _ROW_CHUNK integrands run in lockstep
+    (:func:`lockstep_gk15`).  Fails as a loop of :func:`adaptive_gk15`
+    calls would: the error of the first failing integrand is raised, with
+    its own interval in the message.
+    """
+    width = hi - lo
+    values = np.empty(len(lo))
+    for start in range(0, len(lo), _ROW_CHUNK):
+        chunk = np.arange(start, min(start + _ROW_CHUNK, len(lo)))
+
+        def mapped(s, rows):
+            i = chunk[rows]
+            w = width[i, None]
+            return w * f(lo[i, None] + w * s, i)
+
+        values[chunk], failures = lockstep_gk15(
+            mapped, len(chunk), 0.0, 1.0, rel_tol, abs_tol,
+            max_subdivisions, panels)
+        for i, exc in zip(chunk.tolist(), failures):
+            if exc is not None:
+                raise QuadratureError(str(exc).replace(
+                    "[0.0, 1.0]", f"[{float(lo[i])}, {float(hi[i])}]", 1))
+    return values
+
+
 def arc_adaptive_batch(f, lo, hi, rel_tol: float, abs_tol: float,
                        max_subdivisions: int = 200):
-    """Batched adaptive quadrature over a family of intervals.
+    """Integrate ``f`` over [lo[i], hi[i]] for every row i.
 
-    Integrates ``f`` over [lo[i], hi[i]] for every row i simultaneously.
     ``f`` maps an (m, k) array of abscissae to an (m, k) array of values.
-    Subdivision happens in a shared normalised coordinate, so every row is
-    refined in lockstep; the row with the worst error drives refinement.
-    Returns an (m,) array.  No production integral uses it any more (the
-    angular integrals it served have closed forms); the benchmark tracer
-    in perfbench/ still resolves it by name.
+    Rows refine independently, by :func:`lockstep_intervals`; each call of
+    ``f`` still gets all m rows, those not evaluated at their interval
+    midpoints.  Returns an (m,) array.  No production integral uses it
+    (the angular integrals it served have closed forms); the benchmark
+    tracer in perfbench/ resolves it by name.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    span = hi - lo
+    mid = 0.5 * (lo + hi)[:, None]
 
-    def panel(x0: float, x1: float):
-        halfxi = 0.5 * (x1 - x0)
-        xi = 0.5 * (x1 + x0) + halfxi * _XK
-        theta = lo[:, None] + span[:, None] * xi[None, :]
-        y = np.asarray(f(theta), dtype=float)
-        scale = span * halfxi
-        ik = scale * (y @ _WK)
-        ig = scale * (y[:, 1::2] @ _WG)
-        resabs = np.abs(scale) * (np.abs(y) @ _WK)
-        return ik, np.abs(ik - ig), resabs
+    def rows_f(x, rows):
+        full = np.repeat(mid, x.shape[1], axis=1)
+        full[rows] = x
+        return np.asarray(f(full), dtype=float)[rows]
 
-    ik, err, resabs = panel(0.0, 1.0)
-    intervals = [(0.0, 1.0, ik, err)]
-    total_abs = resabs
-    for _ in range(max_subdivisions):
-        total = sum(iv[2] for iv in intervals)
-        total_err = sum(iv[3] for iv in intervals)
-        floor = 50.0 * _EPS * total_abs
-        tol = np.maximum(np.maximum(abs_tol, rel_tol * np.abs(total)), floor)
-        if np.all(total_err <= tol):
-            return total
-        worst = max(range(len(intervals)),
-                    key=lambda i: float(np.max(intervals[i][3])))
-        x0, x1, _, _ = intervals.pop(worst)
-        xm = 0.5 * (x0 + x1)
-        ik1, err1, ra1 = panel(x0, xm)
-        ik2, err2, ra2 = panel(xm, x1)
-        total_abs = total_abs + ra1 + ra2
-        intervals.append((x0, xm, ik1, err1))
-        intervals.append((xm, x1, ik2, err2))
-    total = sum(iv[2] for iv in intervals)
-    total_err = sum(iv[3] for iv in intervals)
-    floor = 50.0 * _EPS * total_abs
-    tol = np.maximum(np.maximum(abs_tol, rel_tol * np.abs(total)), floor)
-    if np.all(total_err <= tol):
-        return total
-    raise QuadratureError(
-        f"batched arc integral did not converge: worst estimated error "
-        f"{float(np.max(total_err)):.3e} after {max_subdivisions} subdivisions"
-    )
+    return lockstep_intervals(rows_f, lo, hi, rel_tol, abs_tol,
+                              max_subdivisions)

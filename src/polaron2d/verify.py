@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._quad import QuadratureError, adaptive_gk15, leggauss, lockstep_gk15
+from ._quad import adaptive_gk15, leggauss, lockstep_intervals
 from .corefuncs import (KernelPoint, ModelParams, QuadratureSpec, _math_map,
                         a_scale, alpha_m, bound_lhs, bound_lhs_alt,
                         envelope_cutoff_integral)
@@ -88,47 +88,6 @@ def _result(name, n, violation, worst, tol) -> CaseResult:
 # single-input operations
 
 
-# Samples per lockstep batch of the tail, disk and rearrangement cases.  A
-# batch shares its integrand calls, and the gain levels off at 128 rows:
-# the three cases together took 62, 53, 50, 49 and 53 ms at 32, 64, 128,
-# 256 and 512 rows (500 samples, seeds 1-3, medians of 21 runs), and
-# 1.13, 0.99, 0.95, 0.96 and 0.94 s at 10000 samples (one core of a 2-core
-# x86-64 host).  Larger batches only grow the temporaries.
-_ROW_CHUNK = 128
-
-
-def _lockstep_integrals(f, lo, hi, quad: QuadratureSpec,
-                        panels: int = 1) -> np.ndarray:
-    """Integral of sample i's integrand over [lo[i], hi[i]], for every i.
-
-    ``f(x, rows)`` evaluates the integrands of the samples ``rows`` at the
-    abscissae ``x``, one row of ``x`` per sample.  Each interval is mapped
-    affinely onto [0, 1] (x = lo + (hi - lo) s, the integrand times
-    hi - lo), and fixed chunks of _ROW_CHUNK samples run in lockstep
-    (:func:`lockstep_gk15`), each sample with the algorithm of
-    :func:`adaptive_gk15`.  Fails as the loop of scalar calls would: the
-    error of the first failing sample is raised, with the scalar message.
-    """
-    width = hi - lo
-    values = np.empty(len(lo))
-    for start in range(0, len(lo), _ROW_CHUNK):
-        chunk = np.arange(start, min(start + _ROW_CHUNK, len(lo)))
-
-        def mapped(s, rows):
-            i = chunk[rows]
-            w = width[i, None]
-            return w * f(lo[i, None] + w * s, i)
-
-        values[chunk], failures = lockstep_gk15(
-            mapped, len(chunk), 0.0, 1.0, quad.rel_tol, quad.abs_tol,
-            quad.max_subdivisions, panels)
-        for i, exc in zip(chunk.tolist(), failures):
-            if exc is not None:
-                raise QuadratureError(str(exc).replace(
-                    "[0.0, 1.0]", f"[{float(lo[i])}, {float(hi[i])}]", 1))
-    return values
-
-
 def _tail_result(lam, mu, quad: QuadratureSpec, tol: float) -> CaseResult:
     """:func:`verify_tail_integral` at every pair (lam[i], mu[i]); the
     report row of the worst one."""
@@ -138,8 +97,9 @@ def _tail_result(lam, mu, quad: QuadratureSpec, tol: float) -> CaseResult:
         return 1.0 / (c[rows, None] * (1.0 - t) + t) ** 2
 
     n = len(c)
-    val = math.pi * _lockstep_integrals(integrand, np.zeros(n), np.ones(n),
-                                        quad)
+    val = math.pi * lockstep_intervals(integrand, np.zeros(n), np.ones(n),
+                                       quad.rel_tol, quad.abs_tol,
+                                       quad.max_subdivisions)
     exact = math.pi / c
     viol = np.abs(val - exact) / exact
     w = int(np.argmax(viol))
@@ -175,8 +135,9 @@ def _disk_result(lam, quad: QuadratureSpec, tol: float) -> CaseResult:
         return 2.0 * lam[rows, None] * np.cos(theta) ** 2
 
     n = len(lam)
-    val = _lockstep_integrals(chord, np.full(n, -0.5 * math.pi),
-                              np.full(n, 0.5 * math.pi), quad)
+    val = lockstep_intervals(chord, np.full(n, -0.5 * math.pi),
+                             np.full(n, 0.5 * math.pi), quad.rel_tol,
+                             quad.abs_tol, quad.max_subdivisions)
     exact = math.pi * lam
     viol = np.abs(val - exact) / exact
     w = int(np.argmax(viol))
@@ -422,7 +383,8 @@ def _shifted_envelope_integrals(vnorm, A, ku, lo, hi,
         return _envelope_circle_integral(np.exp(eta), vnorm[rows, None],
                                          A[rows, None], ku[rows, None])
 
-    return _lockstep_integrals(radial, lo, hi, quad, panels=8)
+    return lockstep_intervals(radial, lo, hi, quad.rel_tol, quad.abs_tol,
+                              quad.max_subdivisions, panels=8)
 
 
 def _shifted_envelope_integral(v, k: KernelPoint, params: ModelParams,

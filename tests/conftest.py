@@ -43,19 +43,20 @@ def integrand_calls(monkeypatch):
 
 @pytest.fixture
 def quadrature_calls(monkeypatch):
-    """Patch every ``polaron2d`` module's ``adaptive_gk15`` binding to
-    record the interval of each call; returns the list of intervals."""
+    """Patch every ``polaron2d`` module's ``lockstep_gk15`` binding, the
+    one bisection engine behind every adaptive quadrature, to record the
+    interval of each call; returns the list of intervals."""
     import polaron2d._quad as _quad
 
     calls = []
-    real = _quad.adaptive_gk15
+    real = _quad.lockstep_gk15
 
-    def counting(f, a, b, *args, **kwargs):
+    def counting(f, n, a, b, *args, **kwargs):
         calls.append((a, b))
-        return real(f, a, b, *args, **kwargs)
+        return real(f, n, a, b, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "polaron2d" and \
-                getattr(module, "adaptive_gk15", None) is real:
-            monkeypatch.setattr(module, "adaptive_gk15", counting)
+                getattr(module, "lockstep_gk15", None) is real:
+            monkeypatch.setattr(module, "lockstep_gk15", counting)
     return calls

@@ -6,15 +6,22 @@ scans, scipy.integrate quadrature (the package integrates with its
 own Gauss-Kronrod routines, and evaluates alpha(M) in closed form),
 scipy.optimize's Nelder-Mead (the package carries its own copy), and
 40-digit mpmath roots of the original bound equation (the package
-reduces the cutoff optimum to a root in lam/|mu|).
+reduces the cutoff optimum to a root in lam/|mu|).  The one exception is
+``gk15_heap``, the scalar heap loop of worst-panel bisection: it shares
+the package's GK15 panel rule and convergence test, so that its values
+can be compared bit for bit, and keeps its own panel order, in a heap
+where the package keeps an array store.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 from scipy import integrate, optimize
+
+from polaron2d._quad import _budget_error, _converged, _gk15, _nodes
 
 
 def alpha_quad(M: float) -> float:
@@ -42,6 +49,71 @@ def scipy_minimize(fun, x0, *, bounds, initial_simplex, maxfev, xatol,
         fun, x0, method="Nelder-Mead", bounds=bounds,
         options={"initial_simplex": initial_simplex, "maxfev": maxfev,
                  "xatol": xatol, "fatol": fatol, "adaptive": False})
+
+
+def _heap(edges, ik, err):
+    heap = [(-e, i, lo, hi, k, e) for i, (lo, hi, k, e) in enumerate(
+        zip(edges[:-1], edges[1:], ik.tolist(), err.tolist()))]
+    heapq.heapify(heap)
+    return heap
+
+
+def _first_pass(f, a: float, b: float, panels: int):
+    """``panels`` equal GK15 panels of [a, b] in one call of ``f``.
+
+    Returns the bisection heap and the running totals of the Kronrod
+    values, error estimates and |f| integrals.
+    """
+    edges = np.linspace(a, b, panels + 1)
+    x, half = _nodes(edges[:-1], edges[1:])
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    ik, err, resabs = _gk15(y, half)
+    return (_heap(edges.tolist(), ik, err), float(ik.sum()), float(err.sum()),
+            float(resabs.sum()))
+
+
+def _halves(f, lo: float, mid: float, hi: float):
+    """GK15 sums of the panels [lo, mid] and [mid, hi], one call of ``f``
+    each, as three pairs: Kronrod values, error estimates, |f| integrals.
+
+    The sums of both halves are one product, as in a round of
+    ``lockstep_gk15``, so that a single integrand gets the same bits
+    from both routines.
+    """
+    x, half = _nodes(np.array([lo, mid]), np.array([mid, hi]))
+    y = np.stack([np.asarray(f(x[0]), dtype=float),
+                  np.asarray(f(x[1]), dtype=float)])
+    return (v.tolist() for v in _gk15(y, half))
+
+
+def gk15_heap(f, a: float, b: float, rel_tol: float, abs_tol: float,
+              max_subdivisions: int = 200, panels: int = 1) -> float:
+    """``_quad.adaptive_gk15``'s worst-panel bisection as a scalar heap loop.
+
+    The first pass evaluates ``panels`` equal panels in one call of ``f``;
+    bisection of the worst panel (largest error, lowest heap counter on
+    ties) then proceeds one panel pair at a time, one call of ``f`` per
+    half.  Raises the package's QuadratureError when the budget runs out.
+    """
+    if a == b:
+        return 0.0
+    heap, total, total_err, total_abs = _first_pass(f, a, b, panels)
+    counter = panels
+    for _ in range(max_subdivisions):
+        if _converged(total, total_err, total_abs, rel_tol, abs_tol):
+            return total
+        _, _, lo, hi, ik0, err0 = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        (ik1, ik2), (err1, err2), (ra1, ra2) = _halves(f, lo, mid, hi)
+        total += ik1 + ik2 - ik0
+        total_err += err1 + err2 - err0
+        total_abs += ra1 + ra2  # monotone overestimate is fine for the floor
+        heapq.heappush(heap, (-err1, counter, lo, mid, ik1, err1))
+        heapq.heappush(heap, (-err2, counter + 1, mid, hi, ik2, err2))
+        counter += 2
+    if _converged(total, total_err, total_abs, rel_tol, abs_tol):
+        return total
+    raise _budget_error(a, b, total_err, max_subdivisions)
 
 
 def bisect(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 400):

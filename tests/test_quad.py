@@ -7,6 +7,16 @@ import pytest
 from polaron2d._quad import (QuadratureError, adaptive_gk15,
                              arc_adaptive_batch, leggauss, lockstep_gk15)
 
+from oracles import gk15_heap
+
+# Integrands of the bit-for-bit comparisons with the heap loop
+HEAP_INTEGRANDS = {
+    "lorentzian": lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-4),
+    "sqrt_cos": lambda x: np.sqrt(np.abs(np.cos(20.0 * x))),
+    "exp": np.exp,
+    "sech": lambda x: 1.0 / np.cosh((x - 0.6) / 0.03),
+}
+
 
 class TestAdaptiveGK:
     def test_polynomial_exact(self):
@@ -64,13 +74,34 @@ class TestAdaptiveGK:
         val = adaptive_gk15(f, 0.0, 1.0, 1e-11, 1e-14, panels=4)
         expected = (math.atan(0.7 / 1e-3) + math.atan(0.3 / 1e-3)) / 1e-3
         assert val == pytest.approx(expected, rel=1e-10)
-        assert sizes[0] == 4 * 15 and set(sizes[1:]) == {15}
+        # both halves of a bisection in one call
+        assert sizes[0] == 4 * 15 and set(sizes[1:]) == {30}
         reverse = adaptive_gk15(peaked, 1.0, 0.0, 1e-11, 1e-14, panels=4)
         assert reverse == pytest.approx(-val, rel=1e-12)
 
+    @pytest.mark.parametrize("panels", [1, 2, 4, 8])
+    @pytest.mark.parametrize("name", sorted(HEAP_INTEGRANDS))
+    def test_equals_heap_loop(self, name, panels):
+        # the one-row lockstep run against the heap loop, bit for bit
+        f = HEAP_INTEGRANDS[name]
+        for a, b in [(0.0, 1.0), (1.0, 0.0), (0.25, 1.75)]:
+            got = adaptive_gk15(f, a, b, 1e-12, 1e-14, 400, panels)
+            assert type(got) is float
+            assert got == gk15_heap(f, a, b, 1e-12, 1e-14, 400, panels)
+
+    def test_budget_message_equals_heap_loop(self):
+        def nasty(x):
+            return np.abs(np.sin(200.0 / (x + 1e-3)))
+
+        with pytest.raises(QuadratureError) as want:
+            gk15_heap(nasty, 0.0, 1.0, 1e-13, 1e-15, max_subdivisions=3)
+        with pytest.raises(QuadratureError) as got:
+            adaptive_gk15(nasty, 0.0, 1.0, 1e-13, 1e-15, max_subdivisions=3)
+        assert str(got.value) == str(want.value)
+
 
 class TestLockstep:
-    """lockstep_gk15 runs adaptive_gk15's algorithm on every row."""
+    """lockstep_gk15 runs the heap loop's algorithm on every row."""
 
     centres = np.array([0.3, 0.5, 0.71, 0.9])
     widths = np.array([1e-1, 1e-3, 1e-2, 3e-4])
@@ -91,8 +122,8 @@ class TestLockstep:
                                       panels=panels)
         assert failures == [None] * 4
         for i in range(4):
-            want = adaptive_gk15(lambda x: self.peaked(x, np.array([i]))[0],
-                                 0.0, 1.0, 1e-11, 1e-14, panels=panels)
+            want = gk15_heap(lambda x: self.peaked(x, np.array([i]))[0],
+                             0.0, 1.0, 1e-11, 1e-14, panels=panels)
             assert got[i] == pytest.approx(want, rel=1e-15)
         # one call for the first pass of all rows, then one per round with
         # the two halves of every unconverged row, fewer rows each time
@@ -111,8 +142,8 @@ class TestLockstep:
             math.atan(7.0) + math.atan(3.0), rel=1e-11)
         for i in (1, 3):
             with pytest.raises(QuadratureError) as want:
-                adaptive_gk15(lambda x: self.peaked(x, np.array([i]))[0],
-                              0.0, 1.0, 1e-11, 1e-14, max_subdivisions=20)
+                gk15_heap(lambda x: self.peaked(x, np.array([i]))[0],
+                          0.0, 1.0, 1e-11, 1e-14, max_subdivisions=20)
             assert isinstance(failures[i], QuadratureError)
             assert str(failures[i]) == str(want.value)
 
@@ -158,8 +189,8 @@ class TestLockstep:
         got, failures = lockstep_gk15(rows_f, 1, 0.0, 1.0, 1e-12, 1e-14,
                                       max_subdivisions=400)
         assert failures == [None] and len(calls) == 1 + 356
-        assert got[0] == adaptive_gk15(f, 0.0, 1.0, 1e-12, 1e-14,
-                                       max_subdivisions=400)
+        assert got[0] == gk15_heap(f, 0.0, 1.0, 1e-12, 1e-14,
+                                   max_subdivisions=400)
 
     @pytest.mark.parametrize("panels", [2, 4])
     @pytest.mark.parametrize("f", [
@@ -173,8 +204,7 @@ class TestLockstep:
         got, failures = lockstep_gk15(lambda x, rows: f(x), 1, -1.0, 1.0,
                                       1e-12, 1e-14, 400, panels)
         assert failures == [None]
-        assert got[0] == adaptive_gk15(f, -1.0, 1.0, 1e-12, 1e-14, 400,
-                                       panels)
+        assert got[0] == gk15_heap(f, -1.0, 1.0, 1e-12, 1e-14, 400, panels)
 
 
 class TestArcBatch:
@@ -190,6 +220,11 @@ class TestArcBatch:
         got = arc_adaptive_batch(np.exp, lo, hi, 1e-12, 1e-14)
         assert got[0] == 0.0
         assert got[1] == pytest.approx(math.e - 1.0, rel=1e-13)
+        # still exactly 0 beside a row that refines for many rounds
+        got = arc_adaptive_batch(lambda t: 1.0 / ((t - 0.3) ** 2 + 1e-6),
+                                 np.array([0.0, 0.3]), np.array([1.0, 0.3]),
+                                 1e-11, 1e-14)
+        assert got[1] == 0.0
 
     def test_peaked_integrand_refines(self):
         centre = np.array([0.3, 0.7])
@@ -212,6 +247,48 @@ class TestArcBatch:
         with pytest.raises(QuadratureError):
             arc_adaptive_batch(nasty, np.zeros(2), np.ones(2), 1e-13, 1e-15,
                                max_subdivisions=3)
+
+    def test_rows_refine_independently_on_full_arrays(self):
+        # the wide row converges rounds before the narrow one, and every
+        # call of f still gets both rows
+        centre = np.array([0.3, 0.7])
+        width = np.array([1e-1, 1e-3])
+        shapes = []
+
+        def peaked(theta):
+            shapes.append(theta.shape)
+            return width[:, None] / ((theta - centre[:, None]) ** 2
+                                     + width[:, None] ** 2)
+
+        lo, hi = np.zeros(2), np.ones(2)
+        got = arc_adaptive_batch(peaked, lo, hi, 1e-11, 1e-14)
+        expected = np.arctan((hi - centre) / width) \
+            - np.arctan((lo - centre) / width)
+        assert got == pytest.approx(expected, rel=1e-10)
+        assert shapes[0] == (2, 15)
+        assert set(shapes[1:]) == {(2, 30)}
+        # rounds of each row alone: a first pass, then two calls per
+        # bisection; the batch runs as long as its slowest row
+        rounds = []
+        for i in range(2):
+            calls = []
+
+            def one(x, i=i):
+                calls.append(x)
+                return width[i] / ((x - centre[i]) ** 2 + width[i] ** 2)
+
+            gk15_heap(one, 0.0, 1.0, 1e-11, 1e-14)
+            rounds.append((len(calls) - 1) // 2)
+        assert 0 < rounds[0] < rounds[1] == len(shapes) - 1
+
+    def test_budget_error_names_the_row_interval(self):
+        def f(theta):
+            nasty = np.abs(np.sin(500.0 / (theta[1] - 0.5 + 1e-3)))
+            return np.stack([np.exp(theta[0]), nasty])
+
+        lo, hi = np.array([0.0, 0.5]), np.array([1.0, 2.0])
+        with pytest.raises(QuadratureError, match=r"over \[0\.5, 2\.0\]"):
+            arc_adaptive_batch(f, lo, hi, 1e-13, 1e-15, max_subdivisions=3)
 
 
 class TestLegGauss:

@@ -11,12 +11,11 @@ from polaron2d import (KernelPoint, ModelParams, QuadratureError,
                        verify_momentum_bounds, verify_rearrangement,
                        verify_sigma_minus, verify_tail_integral,
                        verify_u_integral_bound)
-from polaron2d import verify
-from polaron2d._quad import adaptive_gk15
+from polaron2d import _quad, verify
 from polaron2d.verify import (_envelope_circle_integral,
                               _shifted_envelope_integral)
 
-from oracles import envelope_circle_quad
+from oracles import envelope_circle_quad, gk15_heap
 
 REARRANGEMENT_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
                                     max_subdivisions=400)
@@ -24,11 +23,11 @@ REARRANGEMENT_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
 
 @pytest.fixture
 def lockstep_runs(monkeypatch):
-    """Record every ``verify._lockstep_integrals`` call: its values, the
+    """Record every ``verify.lockstep_intervals`` call: its values, the
     rows it hands to ``lockstep_gk15`` and the integrand calls made there."""
     runs = []
-    real_integrals = verify._lockstep_integrals
-    real_lockstep = verify.lockstep_gk15
+    real_integrals = verify.lockstep_intervals
+    real_lockstep = _quad.lockstep_gk15
 
     def lockstep(f, n, *args, **kwargs):
         run = runs[-1]
@@ -40,18 +39,18 @@ def lockstep_runs(monkeypatch):
 
         return real_lockstep(counted, n, *args, **kwargs)
 
-    def integrals(f, lo, hi, quad, panels=1):
+    def integrals(*args, **kwargs):
         runs.append({"rows": 0, "calls": 0})
-        runs[-1]["values"] = real_integrals(f, lo, hi, quad, panels)
+        runs[-1]["values"] = real_integrals(*args, **kwargs)
         return runs[-1]["values"]
 
-    monkeypatch.setattr(verify, "lockstep_gk15", lockstep)
-    monkeypatch.setattr(verify, "_lockstep_integrals", integrals)
+    monkeypatch.setattr(_quad, "lockstep_gk15", lockstep)
+    monkeypatch.setattr(verify, "lockstep_intervals", integrals)
     return runs
 
 
 # Per-sample loops of the three quadrature cases: the samples each case
-# draws, one scalar adaptive_gk15 call per sample.  Each returns the
+# draws, one call of the scalar heap loop per sample.  Each returns the
 # integral of every sample and the bisection rounds it took.
 
 def _scalar(f, a, b, quad, panels=1):
@@ -61,8 +60,8 @@ def _scalar(f, a, b, quad, panels=1):
         calls.append(len(x))
         return f(x)
 
-    val = adaptive_gk15(counted, a, b, quad.rel_tol, quad.abs_tol,
-                        quad.max_subdivisions, panels=panels)
+    val = gk15_heap(counted, a, b, quad.rel_tol, quad.abs_tol,
+                    quad.max_subdivisions, panels=panels)
     # a first pass, then two panel calls per bisection
     return val, (len(calls) - 1) // 2
 
@@ -332,7 +331,7 @@ class TestLockstep:
         _, tol, runner = verify._CASES[case]
         runner(500, 1, tol, None)
         most_rounds = max(rounds for _, rounds in loop(500, 1, quad))
-        chunks = -(-500 // verify._ROW_CHUNK)
+        chunks = -(-500 // _quad._ROW_CHUNK)
         (run,) = lockstep_runs
         assert run["rows"] == 500
         assert run["calls"] <= chunks * (1 + most_rounds)
