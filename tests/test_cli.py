@@ -74,6 +74,21 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_parallel_map_is_loaded_by_the_cli(self):
+        # the benchmark tracer (perfbench/tracing.py, Tracer.install) looks
+        # up polaron2d._parallel.parallel_map by name in sys.modules and
+        # fails if it is gone
+        import polaron2d.cli  # noqa: F401
+
+        assert callable(sys.modules["polaron2d._parallel"].parallel_map)
+
+    def test_minimize_is_a_module_attribute(self):
+        # the benchmark tracer (perfbench/tracing.py, Tracer.install) looks
+        # up cconstant.minimize by name and fails if it is gone
+        from polaron2d import cconstant
+
+        assert callable(cconstant.minimize)
+
     def test_benchmark_tracer_resolves_its_names(self):
         # perfbench/tracing.py's Tracer.install looks up the functions it
         # traces by name in the polaron2d modules and fails on any that is
