@@ -21,8 +21,8 @@ from .cconstant import (BoundaryMaximizerWarning, CEstimate, CSearchConfig,
                         coarse_config, estimate_C, fine_config,
                         inner_integral, inner_integral_tail_bound,
                         scan_C_vs_M, weight)
-from .verify import (CaseResult, VerificationCase, VerificationReport,
-                     run_suite, verify_bound_chain, verify_disk_area,
+from .verify import (CaseResult, VerificationReport, run_suite,
+                     verify_bound_chain, verify_disk_area,
                      verify_momentum_bounds, verify_rearrangement,
                      verify_sigma_minus, verify_tail_integral,
                      verify_u_integral_bound)

@@ -3,12 +3,12 @@
 Every integral the package does not have in closed form goes through the
 one algorithm here, ``lockstep_gk15``: worst-panel bisection of GK15
 panels, run for many integrands over one interval at once.  The C
-estimate calls it for the radial integrals of its grid scan and its
-Nelder-Mead refinement (``cconstant._objective_rows``).  Two adapters
-sit on it: ``adaptive_gk15``, its one-row call, serves single integrals
-(``cconstant.inner_integral``, ``verify_sigma_minus``), and
-``lockstep_intervals`` gives each row its own interval, for the tail,
-disk and rearrangement cases of the verification suite.
+estimate calls it for every radial integral (``cconstant._inner_rows``:
+the grid scan, the Nelder-Mead refinement and the one-row
+``inner_integral``).  Two adapters sit on it: ``adaptive_gk15``, its
+one-row call, serves ``verify_sigma_minus``, and ``lockstep_intervals``
+gives each row its own interval, for the tail, disk and rearrangement
+cases of the verification suite.
 ``arc_adaptive_batch`` is ``lockstep_intervals`` on (m, k) arrays and has
 no production caller.  The angular integrals of the C estimate and of the
 rearrangement check are elementary and are evaluated by their callers.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import parallel_map
-from ._quad import adaptive_gk15, lockstep_gk15
+from ._quad import lockstep_gk15
 from .corefuncs import ModelParams, QuadratureSpec
 
 __all__ = [
@@ -154,17 +154,14 @@ def minimize(fun, x0, *, bounds, initial_simplex, maxfev, xatol, fatol):
     trace stay bit-identical to the scipy implementation it replaces,
     without loading scipy at run time.  The tests hold it to scipy.
 
-    It drives one :func:`_descent`, sending it fun at each trial point;
-    :func:`estimate_C` drives several at once through :func:`_lockstep`.
+    It is the one-start call of :func:`_lockstep`, which
+    :func:`estimate_C` uses to run several descents at once; exceptions
+    raised by fun propagate unchanged.
     """
     descent = _descent(x0, bounds=bounds, initial_simplex=initial_simplex,
                        maxfev=maxfev, xatol=xatol, fatol=fatol)
-    value = None
-    try:
-        while True:
-            value = fun(descent.send(value))
-    except StopIteration as stop:
-        return stop.value
+    (result,) = _lockstep([descent], lambda X: ([fun(X[0])], [None]))
+    return result
 
 
 def _lockstep(descents, batch):
@@ -490,8 +487,8 @@ def _angular_kernel(r: np.ndarray, p_hat, c_vec, B,
 def _radial(eta, p_hat, c_vec, B, tau, M: float, cfg: CSearchConfig):
     """Radial integrand of :func:`inner_integral` at eta = log(q^2).
 
-    p_hat, c_vec, B and tau are as in :func:`_angular_kernel`: floats for
-    one integral, or columns with one row per integrand.
+    p_hat, c_vec, B and tau are columns, one row per integrand of a
+    lockstep batch (:func:`_inner_rows`).
     """
     s = np.exp(eta)
     r = np.sqrt(s)
@@ -508,6 +505,55 @@ def _tail_exceeded(tail: float, val: float, quad: QuadratureSpec):
         "increase q_mag_max")
 
 
+def _inner_rows(p: np.ndarray, Q: np.ndarray, tau: np.ndarray,
+                cfg: CSearchConfig, params: ModelParams):
+    """:func:`inner_integral` at every row of p and Q (shape (n, 2)) and tau.
+
+    The radial integrals of all rows run in lockstep
+    (:func:`lockstep_gk15`).  Returns the values, the certified tails and,
+    per row, None or the error inner_integral raises there: the first one
+    it meets (degenerate tail, exhausted budget, exceeded tail).  The value
+    of a failed row is meaningless.
+    """
+    M = params.mass_ratio
+    quad = cfg.quad
+    c_vec = Q / (M + 2.0)
+    p_hat = p + c_vec
+    errors = [None] * len(tau)
+    tails = np.zeros(len(tau))
+    live = []  # rows to integrate; p_hat = 0 gives 0
+    for i in np.flatnonzero(np.hypot(p_hat[:, 0], p_hat[:, 1]) > 0.0).tolist():
+        try:
+            tails[i] = inner_integral_tail_bound(p[i], Q[i], tau[i], cfg,
+                                                 params)
+        except TailBoundExceeded as exc:
+            errors[i] = exc
+        else:
+            live.append(i)
+    live = np.array(live, dtype=int)
+    # |Q|^2 per row as a dot product, the bits of Q @ Q for one vector (an
+    # elementwise sum can differ by 1 ulp and move a value by 3 ulp)
+    qsq = (Q[:, None, :] @ Q[:, :, None])[:, 0, 0]
+    B = (M / (M + 2.0)) * qsq + M * (tau - cfg.mu)
+    cols = [v[live, None] for v in (*p_hat.T, *c_vec.T, B, tau)]
+
+    def radial(eta, rows):
+        px, py, cx, cy, b, t = (v[rows] for v in cols)
+        return _radial(eta, (px, py), (cx, cy), b, t, M, cfg)
+
+    vals, failures = lockstep_gk15(
+        radial, len(live), math.log(cfg.lam), 2.0 * math.log(cfg.q_mag_max),
+        quad.rel_tol, quad.abs_tol, quad.max_subdivisions, panels=8)
+    inner = np.zeros(len(tau))
+    inner[live] = vals
+    for i, exc in zip(live.tolist(), failures):
+        errors[i] = exc
+    for i in np.flatnonzero(tails > quad.tail_truncation_rel * inner
+                            + quad.abs_tol).tolist():
+        errors[i] = errors[i] or _tail_exceeded(tails[i], inner[i], quad)
+    return inner, tails, errors
+
+
 def inner_integral(p, Q, tau: float, cfg: CSearchConfig, params: ModelParams,
                    _with_tail: bool = False):
     """Momentum integral of :func:`c_integrand` over lam < q^2 <= q_mag_max^2.
@@ -518,108 +564,48 @@ def inner_integral(p, Q, tau: float, cfg: CSearchConfig, params: ModelParams,
     carries the certified bound of :func:`inner_integral_tail_bound`; if
     that bound exceeds the configured relative allowance,
     TailBoundExceeded is raised rather than silently accepting the
-    truncation.
+    truncation.  This is the one-row call of :func:`_inner_rows`.
     """
-    M = params.mass_ratio
-    p = np.asarray(p, dtype=float)
-    Q = np.asarray(Q, dtype=float)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    c_vec = Q / (M + 2.0)
-    p_hat = p + c_vec
-    php = math.hypot(float(p_hat[0]), float(p_hat[1]))
-    if php == 0.0:
-        return (0.0, 0.0) if _with_tail else 0.0
-    tail = inner_integral_tail_bound(p, Q, tau, cfg, params)
-    B = (M / (M + 2.0)) * float(Q @ Q) + M * (tau - cfg.mu)
-    quad = cfg.quad
-    ph = (float(p_hat[0]), float(p_hat[1]))
-    cv = (float(c_vec[0]), float(c_vec[1]))
-    val = adaptive_gk15(lambda eta: _radial(eta, ph, cv, B, tau, M, cfg),
-                        math.log(cfg.lam), 2.0 * math.log(cfg.q_mag_max),
-                        quad.rel_tol, quad.abs_tol, quad.max_subdivisions,
-                        panels=8)
-    if tail > quad.tail_truncation_rel * val + quad.abs_tol:
-        raise _tail_exceeded(tail, val, quad)
-    if _with_tail:
-        return val, tail
-    return val
-
-
-def _objective(z, cfg: CSearchConfig, params: ModelParams) -> float:
-    q_mag, p_par, p_perp, tau = z
-    psq = p_par * p_par + p_perp * p_perp
-    inner = inner_integral((p_par, p_perp), (q_mag, 0.0), tau, cfg, params)
-    return weight(tau + psq, cfg.mu, cfg.lam) * inner
+    (val,), (tail,), (error,) = _inner_rows(
+        np.array([p], dtype=float), np.array([Q], dtype=float),
+        np.array([tau], dtype=float), cfg, params)
+    if error is not None:
+        raise error
+    return (float(val), float(tail)) if _with_tail else float(val)
 
 
 def _objective_rows(chunk: np.ndarray, cfg: CSearchConfig,
                     params: ModelParams) -> tuple[np.ndarray, list]:
-    """:func:`_objective` at every row (|Q|, p_par, p_perp, tau) of chunk.
+    """weight(tau + p^2) * inner_integral at every row
+    (|Q|, p_par, p_perp, tau) of chunk, with Q on the first axis.
 
-    The radial integrals of all rows run in lockstep (:func:`lockstep_gk15`)
-    with the integrand of :func:`inner_integral`.  Returns the values and,
-    per row, None or the error :func:`_objective` would raise there: the
-    first one inner_integral meets (degenerate tail, exhausted budget,
-    exceeded tail).  The value of a failed row is meaningless.
+    Returns the values and the per-row errors of :func:`_inner_rows`.
     """
-    M = params.mass_ratio
-    quad = cfg.quad
     q_mag, p_par, p_perp, tau = chunk.T
-    c_x = q_mag / (M + 2.0)
-    ph_x = p_par + c_x
-    errors = [None] * len(chunk)
-    tails = np.zeros(len(chunk))
-    live = []  # rows to integrate; p_hat = 0 gives 0
-    for i in np.flatnonzero(np.hypot(ph_x, p_perp) > 0.0).tolist():
-        try:
-            tails[i] = inner_integral_tail_bound(
-                (p_par[i], p_perp[i]), (q_mag[i], 0.0), tau[i], cfg, params)
-        except TailBoundExceeded as exc:
-            errors[i] = exc
-        else:
-            live.append(i)
-    live = np.array(live, dtype=int)
-    B = (M / (M + 2.0)) * (q_mag * q_mag) + M * (tau - cfg.mu)
-    cols = [v[live, None] for v in (ph_x, p_perp, c_x, B, tau)]
-
-    def radial(eta, rows):
-        px, py, cx, b, t = (v[rows] for v in cols)
-        return _radial(eta, (px, py), (cx, 0.0), b, t, M, cfg)
-
-    vals, failures = lockstep_gk15(
-        radial, len(live), math.log(cfg.lam), 2.0 * math.log(cfg.q_mag_max),
-        quad.rel_tol, quad.abs_tol, quad.max_subdivisions, panels=8)
-    inner = np.zeros(len(chunk))
-    inner[live] = vals
-    for i, exc in zip(live.tolist(), failures):
-        errors[i] = exc
-    for i in np.flatnonzero(tails > quad.tail_truncation_rel * inner
-                            + quad.abs_tol).tolist():
-        errors[i] = errors[i] or _tail_exceeded(tails[i], inner[i], quad)
+    inner, _, errors = _inner_rows(
+        np.column_stack([p_par, p_perp]),
+        np.column_stack([q_mag, np.zeros(len(chunk))]), tau, cfg, params)
     psq = p_par * p_par + p_perp * p_perp
     return weight(tau + psq, cfg.mu, cfg.lam) * inner, errors
 
 
-def _objective_chunk(chunk: np.ndarray, cfg: CSearchConfig,
-                     params: ModelParams) -> np.ndarray:
-    """:func:`_objective_rows`, failing as the loop
-    ``[_objective(z) for z in chunk]`` would: the first error in row order
-    is raised."""
-    values, errors = _objective_rows(chunk, cfg, params)
-    first = next((exc for exc in errors if exc is not None), None)
-    if first is not None:
-        raise first
-    return values
-
-
 def _grid_values(mesh: np.ndarray, cfg: CSearchConfig,
                  params: ModelParams) -> np.ndarray:
-    """:func:`_objective` at every mesh row, in chunks of _GRID_CHUNK rows."""
+    """:func:`_objective_rows` at every mesh row, in chunks of _GRID_CHUNK
+    rows.  Fails as a per-point loop would: the first error in row order
+    is raised."""
+    def chunk_values(chunk):
+        values, errors = _objective_rows(chunk, cfg, params)
+        first = next((exc for exc in errors if exc is not None), None)
+        if first is not None:
+            raise first
+        return values
+
     chunks = [mesh[i:i + _GRID_CHUNK]
               for i in range(0, len(mesh), _GRID_CHUNK)]
-    return np.concatenate(parallel_map(
-        lambda c: _objective_chunk(c, cfg, params), chunks))
+    return np.concatenate(parallel_map(chunk_values, chunks))
 
 
 def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
@@ -633,7 +619,8 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
     of a level run in lockstep (:func:`_lockstep`): each round evaluates
     their pending trial points, at most five, in one
     :func:`_objective_rows` call.  Values and errors are those of five
-    sequential :func:`minimize` runs on the scalar :func:`_objective`.
+    sequential :func:`minimize` runs, one trial point per call.  The tail
+    bound at the maximiser comes from one last :func:`inner_integral`.
     """
     M = params.mass_ratio
     qmag = cfg.qmag_grid.values()

@@ -30,6 +30,7 @@ __all__ = [
 
 _EPS = 7.0 / 3 - 4.0 / 3 - 1.0  # float64 machine epsilon
 _LOG_MAX = math.log(sys.float_info.max)
+_BRACKET_GROWTH = 2.0  # solve_mu widens its bracket by this factor per step
 
 
 class SupercriticalMass(ValueError):
@@ -55,49 +56,29 @@ class RootFindSpec:
     x_tol: float = 1e-12
     f_tol: float = 1e-10
     max_iter: int = 1200
-    bracket_growth: float = 2.0
 
     def __post_init__(self):
         if not (self.x_tol > 0 and self.f_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.bracket_growth > 1.0:
-            raise ValueError("bracket_growth must exceed 1")
 
 
 @dataclass(frozen=True)
 class CutoffChoice:
-    """How the infrared cutoff is chosen: fixed value, tied to the binding
-    energy (lam = -E_B), or optimised over a range."""
+    """The range [lambda_min, lambda_max] over which optimize_lambda
+    searches the infrared cutoff."""
 
-    mode: str
-    lam: float | None = None
-    lambda_min: float | None = None
-    lambda_max: float | None = None
+    lambda_min: float
+    lambda_max: float
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "binding_scale", "optimize"):
-            raise ValueError(f"unknown cutoff mode {self.mode!r}")
-        if self.mode == "fixed" and not (self.lam and self.lam > 0):
-            raise ValueError("fixed mode requires lam > 0")
-        if self.mode == "optimize":
-            if self.lambda_min is None or self.lambda_max is None:
-                raise ValueError("optimize mode requires a lambda range")
-            if not 0 < self.lambda_min < self.lambda_max:
-                raise ValueError("need 0 < lambda_min < lambda_max")
-
-    @classmethod
-    def fixed(cls, lam: float) -> "CutoffChoice":
-        return cls(mode="fixed", lam=lam)
-
-    @classmethod
-    def binding_scale(cls) -> "CutoffChoice":
-        return cls(mode="binding_scale")
+        if not 0 < self.lambda_min < self.lambda_max:
+            raise ValueError("need 0 < lambda_min < lambda_max")
 
     @classmethod
     def optimize(cls, lambda_min: float, lambda_max: float) -> "CutoffChoice":
-        return cls(mode="optimize", lambda_min=lambda_min, lambda_max=lambda_max)
+        return cls(lambda_min=lambda_min, lambda_max=lambda_max)
 
 
 @dataclass(frozen=True)
@@ -215,11 +196,11 @@ def solve_mu(params: ModelParams, lam: float,
     left = eb
     f_left = f_right
     for _ in range(spec.max_iter):
-        if abs(left) > 1e307 / spec.bracket_growth:
+        if abs(left) > 1e307 / _BRACKET_GROWTH:
             raise BracketFailure(
                 "bound exceeds the floating-point range; the mass ratio is "
                 "too close to the critical mass")
-        left *= spec.bracket_growth
+        left *= _BRACKET_GROWTH
         f_left = f(left)
         iterations += 1
         if f_left > 0.0:
@@ -294,7 +275,7 @@ def critical_mass(spec: RootFindSpec | None = None) -> float:
 
 def optimize_lambda(params: ModelParams, choice: CutoffChoice,
                     spec: RootFindSpec | None = None) -> BoundResult:
-    """Maximise the bound mu over the cutoff range of an ``optimize`` choice.
+    """Maximise the bound mu over the cutoff range of ``choice``.
 
     With g = mu/E_B, x = lam/|mu|, a = alpha(M) and k = (M+1)/M the bound
     equation reads log g = k phi(x), where
@@ -313,8 +294,6 @@ def optimize_lambda(params: ModelParams, choice: CutoffChoice,
     clipped to an edge.
     """
     spec = spec or RootFindSpec()
-    if choice.mode != "optimize":
-        raise ValueError("optimize_lambda requires an 'optimize' cutoff choice")
     alpham = alpha_m(params)
     _require_subcritical(params.mass_ratio, alpham)
 

@@ -24,7 +24,7 @@ from .corefuncs import (KernelPoint, ModelParams, QuadratureSpec, _math_map,
                         envelope_cutoff_integral)
 
 __all__ = [
-    "VerificationCase", "CaseResult", "VerificationReport",
+    "CaseResult", "VerificationReport",
     "verify_tail_integral", "verify_disk_area", "verify_sigma_minus",
     "verify_u_integral_bound", "verify_momentum_bounds",
     "verify_rearrangement", "verify_bound_chain",
@@ -34,23 +34,6 @@ __all__ = [
 _M_BOX = (0.2, 50.0)
 _VEC_BOX = 10.0
 _B_BOX = 100.0
-
-
-@dataclass(frozen=True)
-class VerificationCase:
-    """Request record: what to sample, how often, and how strictly."""
-
-    name: str
-    domain_sampler: str
-    samples: int
-    seed: int
-    tolerance: float
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass
@@ -374,8 +357,14 @@ def _radial_ranges(vnorm, k: KernelPoint, params: ModelParams,
 
 def _shifted_envelope_integrals(vnorm, A, ku, lo, hi,
                                 quad: QuadratureSpec) -> np.ndarray:
-    """The radial integrals of :func:`_shifted_envelope_integral`, one per
-    entry of the arrays |v|, A, M+1-u, eta_lo and eta_hi."""
+    """Cubature of int_{q^2 > lam} kernel_envelope(|q+v|^2) / q^2 dq, one
+    per entry of the arrays |v|, A, M+1-u, eta_lo and eta_hi.
+
+    Polar coordinates; the angular integral is the closed form of
+    :func:`_envelope_circle_integral`, and the radial integral runs
+    adaptively in eta = log r over [eta_lo, eta_hi] (the range of
+    :func:`_radial_ranges`), first pass eight equal GK15 panels.
+    """
 
     def radial(eta, rows):
         # dq = r dr dtheta and the integrand carries 1/r^2; in eta = log r
@@ -385,21 +374,6 @@ def _shifted_envelope_integrals(vnorm, A, ku, lo, hi,
 
     return lockstep_intervals(radial, lo, hi, quad.rel_tol, quad.abs_tol,
                               quad.max_subdivisions, panels=8)
-
-
-def _shifted_envelope_integral(v, k: KernelPoint, params: ModelParams,
-                               quad: QuadratureSpec, rhs_scale: float) -> float:
-    """Cubature of int_{q^2 > lam} kernel_envelope(|q+v|^2) / q^2 dq.
-
-    Polar coordinates; the angular integral is the closed form of
-    :func:`_envelope_circle_integral`, and the radial integral runs
-    adaptively in log r, first pass eight equal GK15 panels, up to the
-    radius R of :func:`_radial_ranges`.
-    """
-    vnorm = math.hypot(float(v[0]), float(v[1]))
-    ranges = _radial_ranges(vnorm, k, params, quad, rhs_scale)
-    return float(_shifted_envelope_integrals(
-        *np.atleast_1d(vnorm, *ranges), quad)[0])
 
 
 def verify_rearrangement(samples: int, seed: int,

@@ -22,26 +22,6 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def integrand_calls(monkeypatch):
-    """Patch ``module.adaptive_gk15`` to record the size of every call of
-    the integrand it is given; returns a function of the module that
-    installs the patch and returns the list of sizes."""
-    def install(module):
-        calls = []
-        real = module.adaptive_gk15
-
-        def counting(f, *args, **kwargs):
-            def counted(x):
-                calls.append(len(x))
-                return f(x)
-            return real(counted, *args, **kwargs)
-
-        monkeypatch.setattr(module, "adaptive_gk15", counting)
-        return calls
-    return install
-
-
-@pytest.fixture
 def quadrature_calls(monkeypatch):
     """Patch every ``polaron2d`` module's ``lockstep_gk15`` binding, the
     one bisection engine behind every adaptive quadrature, to record the

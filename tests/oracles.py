@@ -6,11 +6,16 @@ scans, scipy.integrate quadrature (the package integrates with its
 own Gauss-Kronrod routines, and evaluates alpha(M) in closed form),
 scipy.optimize's Nelder-Mead (the package carries its own copy), and
 40-digit mpmath roots of the original bound equation (the package
-reduces the cutoff optimum to a root in lam/|mu|).  The one exception is
-``gk15_heap``, the scalar heap loop of worst-panel bisection: it shares
-the package's GK15 panel rule and convergence test, so that its values
-can be compared bit for bit, and keeps its own panel order, in a heap
-where the package keeps an array store.
+reduces the cutoff optimum to a root in lam/|mu|).  The exceptions are
+the per-point references of two lockstep paths, which share the rules
+they apply with the package so that their values can be compared bit
+for bit.  ``gk15_heap`` is the scalar heap loop of worst-panel
+bisection: it shares the package's GK15 panel rule and convergence test
+and keeps its own panel order, in a heap where the package keeps an
+array store.  ``inner_integral_point`` and ``objective_point`` are the C
+objective one point at a time: they share the radial integrand and the
+tail bound and run the radial integral by ``gk15_heap``, where the
+package integrates many points as the rows of one batch.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import numpy as np
 from scipy import integrate, optimize
 
 from polaron2d._quad import _budget_error, _converged, _gk15, _nodes
+from polaron2d.cconstant import (_radial, _tail_exceeded,
+                                 inner_integral_tail_bound, weight)
 
 
 def alpha_quad(M: float) -> float:
@@ -114,6 +121,50 @@ def gk15_heap(f, a: float, b: float, rel_tol: float, abs_tol: float,
     if _converged(total, total_err, total_abs, rel_tol, abs_tol):
         return total
     raise _budget_error(a, b, total_err, max_subdivisions)
+
+
+def inner_integral_point(p, Q, tau: float, cfg, params,
+                         _with_tail: bool = False):
+    """``cconstant.inner_integral`` for one point, on plain floats.
+
+    The package integrates every point as a row of a lockstep batch; this
+    is the scalar path it replaced, with the radial integral run by
+    :func:`gk15_heap`.  Same checks, errors and messages.
+    """
+    M = params.mass_ratio
+    p = np.asarray(p, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    c_vec = Q / (M + 2.0)
+    p_hat = p + c_vec
+    php = math.hypot(float(p_hat[0]), float(p_hat[1]))
+    if php == 0.0:
+        return (0.0, 0.0) if _with_tail else 0.0
+    tail = inner_integral_tail_bound(p, Q, tau, cfg, params)
+    B = (M / (M + 2.0)) * float(Q @ Q) + M * (tau - cfg.mu)
+    quad = cfg.quad
+    ph = (float(p_hat[0]), float(p_hat[1]))
+    cv = (float(c_vec[0]), float(c_vec[1]))
+    val = gk15_heap(lambda eta: _radial(eta, ph, cv, B, tau, M, cfg),
+                    math.log(cfg.lam), 2.0 * math.log(cfg.q_mag_max),
+                    quad.rel_tol, quad.abs_tol, quad.max_subdivisions,
+                    panels=8)
+    if tail > quad.tail_truncation_rel * val + quad.abs_tol:
+        raise _tail_exceeded(tail, val, quad)
+    if _with_tail:
+        return val, tail
+    return val
+
+
+def objective_point(z, cfg, params) -> float:
+    """The C objective weight(tau + p^2) * inner_integral at one point
+    z = (|Q|, p_par, p_perp, tau), by :func:`inner_integral_point`."""
+    q_mag, p_par, p_perp, tau = z
+    psq = p_par * p_par + p_perp * p_perp
+    inner = inner_integral_point((p_par, p_perp), (q_mag, 0.0), tau, cfg,
+                                 params)
+    return weight(tau + psq, cfg.mu, cfg.lam) * inner
 
 
 def bisect(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 400):

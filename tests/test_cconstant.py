@@ -14,11 +14,11 @@ from polaron2d import (BoundaryMaximizerWarning, CEstimate, CSearchConfig,
                        weight)
 
 from polaron2d import QuadratureError, cconstant
-from polaron2d.cconstant import (_GRID_CHUNK, _angular_kernel, _grid_values,
-                                 _objective, _objective_chunk)
+from polaron2d.cconstant import _GRID_CHUNK, _angular_kernel, _grid_values
 
 from oracles import (c_integrand_scalar, cartesian_annulus_integral,
-                     scipy_minimize, sigma_minus_circle_quad)
+                     inner_integral_point, objective_point, scipy_minimize,
+                     sigma_minus_circle_quad)
 
 
 def rotation(angle):
@@ -229,15 +229,55 @@ class TestInnerIntegral:
         with pytest.raises(TailBoundExceeded):
             inner_integral((1.0, 0.5), (2.0, 0.0), 0.7, cfg, params_m2)
 
-    def test_radial_cost_at_argmax(self, params_m2, integrand_calls):
+    def test_radial_cost_at_argmax(self, params_m2, monkeypatch):
         # one vectorised first pass settles the coarse M = 2 maximiser;
         # more calls mean the radial rule regressed
-        calls = integrand_calls(cconstant)
+        calls = []
+        real = cconstant._radial
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(cconstant, "_radial", counting)
         val = inner_integral((-1.6507057666234086, 0.0),
                              (0.4466941348501683, 0.0), 1e-3,
                              coarse_config(), params_m2)
         assert val > 0.0
         assert 1 <= len(calls) <= 3
+
+    @pytest.mark.parametrize("M", [0.5, 2.0, 5.0])
+    def test_matches_per_point_reference(self, M, rng):
+        # the one-row lockstep call against the scalar path it replaced,
+        # with Q in every direction: equal to 2 ulp (measured: bit equal)
+        params, cfg = ModelParams(M, -1.0), coarse_config()
+        for _ in range(200):
+            p, Q = rng.uniform(-6, 6, 2), rng.uniform(-6, 6, 2)
+            tau = float(10 ** rng.uniform(-3, 3))
+            got = inner_integral(p, Q, tau, cfg, params, _with_tail=True)
+            want = inner_integral_point(p, Q, tau, cfg, params,
+                                        _with_tail=True)
+            assert got[1] == want[1]
+            assert abs(got[0] - want[0]) <= 2 * np.spacing(abs(want[0]))
+
+    @pytest.mark.parametrize("change, args, error, match", [
+        ({}, ((1.0, 0.5), (2.0, 0.0), 1e6), TailBoundExceeded,
+         "exceeds allowance"),
+        ({"q_mag_max": 250.0}, ((1.0, 0.5), (600.0, 1.0), 1.0),
+         TailBoundExceeded, "degenerates"),
+        ({"quad": replace(coarse_config().quad, max_subdivisions=1)},
+         ((0.3, 2.0), (6.0, 3.0), 1e-3), QuadratureError,
+         "did not converge"),
+    ], ids=["exceeded_tail", "degenerate_tail", "budget"])
+    def test_raises_as_per_point_reference(self, params_m2, change, args,
+                                           error, match):
+        cfg = replace(coarse_config(), **change)
+        with pytest.raises(error, match=match) as want:
+            inner_integral_point(*args, cfg, params_m2)
+        with pytest.raises(error) as got:
+            inner_integral(*args, cfg, params_m2)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
     def test_tail_bound_positive_and_finite(self, params_m2, small_cfg):
         tb = inner_integral_tail_bound((1.0, 0.5), (2.0, 0.0), 0.7,
@@ -379,7 +419,7 @@ class TestNelderMead:
                                xatol=1e-8, fatol=1e-8)
 
 
-def scalar_neg_objective(cfg, params, objective=_objective):
+def scalar_neg_objective(cfg, params, objective=objective_point):
     """The refinement's objective, point by point on the scalar path."""
     def neg_obj(x):
         return -objective((x[0], x[1], x[2], math.exp(x[3])), cfg, params)
@@ -395,7 +435,7 @@ def sequential_refinement(monkeypatch, minimize, neg_obj, log=None):
     """Make estimate_C run the descents of each level one after another,
     each as minimize(neg_obj, x0, **options) with the descent's own
     arguments, and log their results."""
-    descent, args = cconstant._descent, {}
+    descent, lockstep, args = cconstant._descent, cconstant._lockstep, {}
 
     def spy(x0, **options):
         gen = descent(x0, **options)
@@ -403,9 +443,12 @@ def sequential_refinement(monkeypatch, minimize, neg_obj, log=None):
         return gen
 
     def sequential(descents, batch):
-        return record([] if log is None else log,
-                      [minimize(neg_obj, args[d][0], **args[d][1])
-                       for d in descents])
+        # cconstant.minimize runs on _lockstep: give it the real one
+        with monkeypatch.context() as m:
+            m.setattr(cconstant, "_lockstep", lockstep)
+            results = [minimize(neg_obj, args[d][0], **args[d][1])
+                       for d in descents]
+        return record([] if log is None else log, results)
 
     monkeypatch.setattr(cconstant, "_descent", spy)
     monkeypatch.setattr(cconstant, "_lockstep", sequential)
@@ -503,10 +546,11 @@ def grid_mesh(cfg):
 
 
 def first_loop_error(mesh, cfg, params):
-    """The error the per-point loop [_objective(z) for z in mesh] raises."""
+    """The error the per-point loop [objective_point(z) for z in mesh]
+    raises."""
     for z in mesh:
         try:
-            _objective(z, cfg, params)
+            objective_point(z, cfg, params)
         except Exception as exc:  # noqa: BLE001 - the error is the result
             return exc
     return None
@@ -524,7 +568,8 @@ class TestGridScan:
     def test_matches_per_point_loop(self, M, small_cfg):
         params = ModelParams(M, -1.0)
         mesh = grid_mesh(small_cfg)
-        loop = np.array([_objective(z, small_cfg, params) for z in mesh])
+        loop = np.array([objective_point(z, small_cfg, params)
+                         for z in mesh])
         batched = _grid_values(mesh, small_cfg, params)
         assert np.any(loop == 0.0)  # the mesh holds p_hat = 0 points
         assert np.all((batched == 0.0) == (loop == 0.0))
@@ -560,7 +605,7 @@ class TestGridScan:
         with pytest.raises(TailBoundExceeded) as want:
             inner_integral((1.0, 0.5), (2.0, 0.0), 1e6, cfg, params_m2)
         with pytest.raises(TailBoundExceeded) as got:
-            _objective_chunk(chunk, cfg, params_m2)
+            _grid_values(chunk, cfg, params_m2)
         assert str(got.value) == str(want.value)
         assert "exceeds allowance" in str(got.value)
 
@@ -577,7 +622,7 @@ class TestGridScan:
         assert isinstance(want, TailBoundExceeded)
         assert ("degenerates" in str(want)) == degenerate_first
         with pytest.raises(TailBoundExceeded) as got:
-            _objective_chunk(chunk, cfg, params_m2)
+            _grid_values(chunk, cfg, params_m2)
         assert str(got.value) == str(want)
 
     def test_budget_exhaustion_raises_as_scalar_path(self, params_m2,
@@ -624,7 +669,7 @@ class TestRefinementErrors:
         def failing_objective(z, cfg, params):
             if tuple(z) in bad:
                 raise TailBoundExceeded(bad[tuple(z)])
-            return _objective(z, cfg, params)
+            return objective_point(z, cfg, params)
 
         monkeypatch.setattr(cconstant, "_objective_rows", failing_rows)
         with warnings.catch_warnings():

@@ -12,8 +12,8 @@ from polaron2d import (KernelPoint, ModelParams, QuadratureError,
                        verify_sigma_minus, verify_tail_integral,
                        verify_u_integral_bound)
 from polaron2d import _quad, verify
-from polaron2d.verify import (_envelope_circle_integral,
-                              _shifted_envelope_integral)
+from polaron2d.verify import (_envelope_circle_integral, _radial_ranges,
+                              _shifted_envelope_integrals)
 
 from oracles import envelope_circle_quad, gk15_heap
 
@@ -239,6 +239,14 @@ class TestMomentumBounds:
             assert lhs > mid
 
 
+def shifted_envelope_integral(vnorm, k, params, quad, rhs):
+    """The left side of verify_rearrangement for one shift |v| and one
+    kernel point."""
+    ranges = _radial_ranges(vnorm, k, params, quad, rhs)
+    return float(_shifted_envelope_integrals(
+        *np.atleast_1d(vnorm, *ranges), quad)[0])
+
+
 class TestRearrangement:
     def test_sample_run(self):
         row = verify_rearrangement(60, seed=9)
@@ -252,7 +260,7 @@ class TestRearrangement:
         quad = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14,
                               max_subdivisions=400)
         rhs = envelope_cutoff_integral(k, params_m2)
-        lhs = _shifted_envelope_integral((0.0, 0.0), k, params_m2, quad, rhs)
+        lhs = shifted_envelope_integral(0.0, k, params_m2, quad, rhs)
         from polaron2d import a_scale
         A = a_scale(k, params_m2)
         ku = params_m2.mass_ratio + 1 - k.u
@@ -265,7 +273,7 @@ class TestRearrangement:
         quad = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
                               max_subdivisions=400)
         rhs = envelope_cutoff_integral(k, params_m2)
-        lhs = _shifted_envelope_integral((1e3, 0.0), k, params_m2, quad, rhs)
+        lhs = shifted_envelope_integral(1e3, k, params_m2, quad, rhs)
         assert lhs < 0.1 * rhs
 
     def test_circle_integral_matches_quadrature(self, rng):
@@ -299,7 +307,7 @@ class TestRearrangement:
         quad = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
                               max_subdivisions=400)
         rhs = envelope_cutoff_integral(k, params_m2)
-        lhs = _shifted_envelope_integral((0.0, 0.0), k, params_m2, quad, rhs)
+        lhs = shifted_envelope_integral(0.0, k, params_m2, quad, rhs)
         assert 0.0 < lhs < rhs
         (run,) = lockstep_runs
         assert run["rows"] == 1
