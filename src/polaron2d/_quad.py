@@ -5,13 +5,14 @@ one algorithm here, ``lockstep_gk15``: worst-panel bisection of GK15
 panels, run for many integrands over one interval at once.  The C
 estimate calls it for every radial integral (``cconstant._inner_rows``:
 the grid scan, the Nelder-Mead refinement and the one-row
-``inner_integral``).  Two adapters sit on it: ``adaptive_gk15``, its
-one-row call, serves ``verify_sigma_minus``, and ``lockstep_intervals``
-gives each row its own interval, for the tail, disk and rearrangement
-cases of the verification suite.
-``arc_adaptive_batch`` is ``lockstep_intervals`` on (m, k) arrays and has
-no production caller.  The angular integrals of the C estimate and of the
-rearrangement check are elementary and are evaluated by their callers.
+``inner_integral``).  ``lockstep_intervals`` gives each row its own
+interval, for the tail, disk and rearrangement checks of ``verify``.
+``adaptive_gk15``, the one-row call, and ``arc_adaptive_batch``,
+``lockstep_intervals`` on (m, k) arrays, have no production caller: the
+benchmark tracer in perfbench/ resolves both by name, and the tests use
+them, so they stay until the tracer counts lockstep rounds instead.  The
+angular integrals of the C estimate and of the rearrangement check are
+elementary and are evaluated by their callers.
 """
 
 from __future__ import annotations

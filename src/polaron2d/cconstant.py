@@ -19,7 +19,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from ._quad import lockstep_gk15
-from .corefuncs import ModelParams, QuadratureSpec
+from .corefuncs import ModelParams, QuadratureSpec, _math_map
 
 __all__ = [
     "GridSpec", "CSearchConfig", "CEstimate",
@@ -209,6 +209,10 @@ def _lockstep(descents, batch):
 # 80.2 MB with the whole mesh).
 _GRID_CHUNK = 32
 
+# estimate_C warns when its last refinement level still raised C by more
+# than this fraction: a moving maximum means the descents have not settled.
+_STABILITY_REL_TOL = 0.02
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -255,7 +259,6 @@ class CSearchConfig:
     ppar_grid: GridSpec = field(default_factory=lambda: GridSpec(-8.0, 8.0, 9))
     pperp_grid: GridSpec = field(default_factory=lambda: GridSpec(0.0, 8.0, 5))
     refine_iters: int = 2
-    stability_rel_tol: float = 0.02
     quad: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(
         rel_tol=1e-7, abs_tol=1e-13, max_subdivisions=80,
         tail_truncation_rel=1e-2))
@@ -321,6 +324,12 @@ class CEstimate:
     mu: float
     lam: float
     mass_ratio: float
+
+    def row(self) -> dict:
+        """Table row: M, mu, lambda, C, prefactor, ratio and the argmax."""
+        return {"M": self.mass_ratio, "mu": self.mu, "lambda": self.lam,
+                "C": self.value, "prefactor": self.prefactor,
+                "ratio": self.ratio, **self.argmax}
 
 
 def weight(s, mu: float, lam: float):
@@ -391,6 +400,30 @@ def c_integrand(p, q, Q, tau, cfg: CSearchConfig, params: ModelParams):
     return val
 
 
+def _tail_bounds(p: np.ndarray, Q: np.ndarray, tau: np.ndarray,
+                 cfg: CSearchConfig, params: ModelParams):
+    """:func:`inner_integral_tail_bound` at every row of p and Q (shape
+    (n, 2)) and tau: the bounds, and per row None or the TailBoundExceeded
+    raised there (with bound 0).  ``math.hypot`` and the C library's pow
+    keep the bits of a scalar evaluation."""
+    M = params.mass_ratio
+    php = _math_map(math.hypot, *_shift(p, Q, M).T)
+    cnorm = _math_map(math.hypot, *Q.T) / (M + 2.0)
+    R = cfg.q_mag_max
+    fits = R > 2.0 * cnorm
+    # p_hat = 0 gives 0, even where the bound would degenerate; a
+    # degenerate row's gap is taken as infinite, so its bound is 0 as well
+    bad = (php != 0.0) & ~fits
+    errors = [TailBoundExceeded(
+        f"truncation radius {R} is too small for |Q| = {c * (M + 2.0):.3g}; "
+        "the certified tail bound degenerates") if b else None
+        for b, c in zip(bad.tolist(), cnorm.tolist())]
+    w_top = np.sqrt(1.0 + (tau - cfg.mu) / R ** 2)
+    w_bot = math.sqrt(math.log1p((R ** 2 - cfg.mu) / cfg.lam))
+    gap_sq = np.float_power(np.where(fits, R - cnorm, np.inf), 2)
+    return 2.0 * math.pi * php * w_top / ((M + 2.0) * w_bot * gap_sq), errors
+
+
 def inner_integral_tail_bound(p, Q, tau: float, cfg: CSearchConfig,
                               params: ModelParams) -> float:
     """Closed-form bound on the integral mass beyond |q| = q_mag_max.
@@ -402,22 +435,14 @@ def inner_integral_tail_bound(p, Q, tau: float, cfg: CSearchConfig,
         2 pi |p_hat| sqrt(1 + (tau-mu)/R^2)
         / ((M+2) sqrt(log(1 + (R^2-mu)/lam)) (R - |Q|/(M+2))^2).
 
-    Valid for R > 2|Q|/(M+2).
+    Valid for R > 2|Q|/(M+2).  The one-row call of :func:`_tail_bounds`.
     """
-    M = params.mass_ratio
-    p_hat = _shift(p, Q, M)
-    php = math.hypot(float(p_hat[0]), float(p_hat[1]))
-    if php == 0.0:
-        return 0.0
-    cnorm = math.hypot(float(Q[0]), float(Q[1])) / (M + 2.0)
-    R = cfg.q_mag_max
-    if R <= 2.0 * cnorm:
-        raise TailBoundExceeded(
-            f"truncation radius {R} is too small for |Q| = {cnorm * (M + 2.0):.3g}; "
-            "the certified tail bound degenerates")
-    w_top = math.sqrt(1.0 + (tau - cfg.mu) / R ** 2)
-    w_bot = math.sqrt(math.log1p((R ** 2 - cfg.mu) / cfg.lam))
-    return 2.0 * math.pi * php * w_top / ((M + 2.0) * w_bot * (R - cnorm) ** 2)
+    (bound,), (error,) = _tail_bounds(
+        np.array([p], dtype=float), np.array([Q], dtype=float),
+        np.array([tau], dtype=float), cfg, params)
+    if error is not None:
+        raise error
+    return float(bound)
 
 
 def _angular_kernel(r: np.ndarray, p_hat, c_vec, B,
@@ -519,18 +544,11 @@ def _inner_rows(p: np.ndarray, Q: np.ndarray, tau: np.ndarray,
     quad = cfg.quad
     c_vec = Q / (M + 2.0)
     p_hat = p + c_vec
-    errors = [None] * len(tau)
-    tails = np.zeros(len(tau))
-    live = []  # rows to integrate; p_hat = 0 gives 0
-    for i in np.flatnonzero(np.hypot(p_hat[:, 0], p_hat[:, 1]) > 0.0).tolist():
-        try:
-            tails[i] = inner_integral_tail_bound(p[i], Q[i], tau[i], cfg,
-                                                 params)
-        except TailBoundExceeded as exc:
-            errors[i] = exc
-        else:
-            live.append(i)
-    live = np.array(live, dtype=int)
+    tails, errors = _tail_bounds(p, Q, tau, cfg, params)
+    # rows to integrate; p_hat = 0 gives 0.  The mask is not tails > 0: the
+    # bound of a tiny |p_hat| can underflow to 0
+    live = np.flatnonzero(p_hat.any(axis=1)
+                          & np.array([e is None for e in errors], dtype=bool))
     # |Q|^2 per row as a dot product, the bits of Q @ Q for one vector (an
     # elementwise sum can differ by 1 ulp and move a value by 3 ulp)
     qsq = (Q[:, None, :] @ Q[:, :, None])[:, 0, 0]
@@ -696,7 +714,7 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
             BoundaryMaximizerWarning, stacklevel=2)
     if len(trace) >= 2:
         v_prev, v_last = trace[-2][1], trace[-1][1]
-        if v_last > 0 and (v_last - v_prev) > cfg.stability_rel_tol * v_last:
+        if v_last > 0 and (v_last - v_prev) > _STABILITY_REL_TOL * v_last:
             warnings.warn(
                 f"refinement not yet stable: last two levels differ by "
                 f"{(v_last - v_prev) / v_last:.2%}", UserWarning, stacklevel=2)
@@ -714,30 +732,23 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
     )
 
 
-def scan_C_vs_M(M_values, cfg: CSearchConfig,
-                params_template: ModelParams | None = None) -> list[dict]:
-    """One C estimate per mass ratio; row errors are captured, not raised.
-
-    Emits the ratio column C/(pi/(1+1/M)) that supports an empirical
-    critical-mass readout (smallest M with ratio < 1).
+def scan_C_vs_M(M_values, cfg: CSearchConfig) -> list[dict]:
+    """One C estimate per mass ratio at E_B = -1: :meth:`CEstimate.row`
+    plus an error column, where row errors are captured, not raised.  The
+    ratio column C/(pi/(1+1/M)) supports an empirical critical-mass
+    readout (smallest M with ratio < 1).
     """
     if len(M_values) == 0:
         raise ValueError("M_values must be nonempty")
-    eb = params_template.binding_energy if params_template else -1.0
     rows = []
     for M in M_values:
-        row = {"M": float(M), "mu": cfg.mu, "lambda": cfg.lam}
         try:
-            est = estimate_C(cfg, ModelParams(float(M), eb))
-            row.update({
-                "C": est.value, "prefactor": est.prefactor, "ratio": est.ratio,
-                "Q_mag": est.argmax["Q_mag"], "p_par": est.argmax["p_par"],
-                "p_perp": est.argmax["p_perp"], "tau": est.argmax["tau"],
-                "error": None,
-            })
+            row = estimate_C(cfg, ModelParams(float(M), -1.0)).row()
+            row["error"] = None
         except Exception as exc:  # noqa: BLE001 - per-row capture is the contract
-            row.update({"C": None, "prefactor": math.pi / (1.0 + 1.0 / M),
-                        "ratio": None, "Q_mag": None, "p_par": None,
-                        "p_perp": None, "tau": None, "error": str(exc)})
+            row = {"M": float(M), "mu": cfg.mu, "lambda": cfg.lam, "C": None,
+                   "prefactor": math.pi / (1.0 + 1.0 / M), "ratio": None,
+                   "Q_mag": None, "p_par": None, "p_perp": None, "tau": None,
+                   "error": str(exc)}
         rows.append(row)
     return rows

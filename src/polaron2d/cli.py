@@ -208,13 +208,6 @@ def cmd_critical_mass(args) -> int:
     return EXIT_OK
 
 
-def _cestimate_row(est, mass: float) -> dict:
-    return {"M": mass, "mu": est.mu, "lambda": est.lam, "C": est.value,
-            "prefactor": est.prefactor, "ratio": est.ratio,
-            "Q_mag": est.argmax["Q_mag"], "p_par": est.argmax["p_par"],
-            "p_perp": est.argmax["p_perp"], "tau": est.argmax["tau"]}
-
-
 _CCONST_CSV = ["M", "mu", "lambda", "C", "prefactor", "ratio",
                "Q_mag", "p_par", "p_perp", "tau"]
 
@@ -225,7 +218,6 @@ def cmd_cconstant(args) -> int:
     with warnings.catch_warnings():
         # boundary-maximiser and stability warnings belong on stderr
         warnings.simplefilter("always")
-        showwarning_orig = warnings.showwarning
 
         def to_stderr(message, category, filename, lineno, file=None, line=None):
             _diag(f"warning: {message}")
@@ -250,25 +242,22 @@ def cmd_cconstant(args) -> int:
                          f"M = {row['M']:.6g}: {row['error']}" for row in rows])
                 return EXIT_OK
 
-            params = ModelParams(args.mass, -1.0)
-            est = estimate_C(cfg, params)
+            est = estimate_C(cfg, ModelParams(args.mass, -1.0))
         except TailBoundExceeded as exc:
             _diag(f"truncation failure: {exc}")
             return EXIT_NONCONVERGENCE
         except _NUMERIC_ERRORS as exc:
             _diag(f"estimator failure: {exc}")
             return EXIT_NONCONVERGENCE
-        finally:
-            warnings.showwarning = showwarning_orig
 
     if args.format == "json":
-        payload = _cestimate_row(est, args.mass)
+        payload = est.row()
         payload["refinement_trace"] = [list(t) for t in est.refinement_trace]
         payload["truncation_error_bound"] = est.truncation_error_bound
         _emit_json(payload)
     elif args.format == "csv":
-        _emit_csv(_CCONST_CSV,
-                  [[_cestimate_row(est, args.mass)[k] for k in _CCONST_CSV]])
+        row = est.row()
+        _emit_csv(_CCONST_CSV, [[row[k] for k in _CCONST_CSV]])
     else:
         _emit_human([
             f"mass ratio        M   = {args.mass}",

@@ -123,10 +123,10 @@ def _math_map(fn, *args):
     of log1p values), and the scalar paths use ``math``; this keeps an
     array evaluation equal to the loop of scalar calls.
     """
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    flat = (np.broadcast_to(a, shape).ravel().tolist() for a in args)
+    arrays = np.broadcast_arrays(*args)
+    flat = (a.ravel().tolist() for a in arrays)
     return np.fromiter(map(fn, *flat), float,
-                       math.prod(shape)).reshape(shape)
+                       arrays[0].size).reshape(arrays[0].shape)
 
 
 def _match(out):

@@ -8,7 +8,11 @@ with documented ranges: |p|, |q|, |P|, |v| in [0, 10], B in [0, 100],
 u in [0, 1], M in [0.2, 50].  The checked statements are homogeneous or
 asymptotically trivial outside these boxes, and the boxes keep the
 quadratures well conditioned.  Reports are reproducible bit for bit from
-(seed, samples, tolerances).
+(seed, samples, tolerances).  The tail, disk and sigma^- checks take
+per-sample arrays, and their suite rows are their calls on the drawn
+samples; the tail and disk integrals run in lockstep
+(``_quad.lockstep_intervals``), and the u-integral of sigma^- by 64-node
+Gauss-Legendre.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._quad import adaptive_gk15, leggauss, lockstep_intervals
-from .corefuncs import (KernelPoint, ModelParams, QuadratureSpec, _math_map,
-                        a_scale, alpha_m, bound_lhs, bound_lhs_alt,
+from ._quad import leggauss, lockstep_intervals
+from .corefuncs import (KernelPoint, ModelParams, QuadratureSpec, _check,
+                        _math_map, a_scale, alpha_m, bound_lhs, bound_lhs_alt,
                         envelope_cutoff_integral)
 
 __all__ = [
@@ -68,12 +72,22 @@ def _result(name, n, violation, worst, tol) -> CaseResult:
 
 
 # ---------------------------------------------------------------------------
-# single-input operations
+# checks on per-sample arrays; a single input is a one-row call
 
 
-def _tail_result(lam, mu, quad: QuadratureSpec, tol: float) -> CaseResult:
-    """:func:`verify_tail_integral` at every pair (lam[i], mu[i]); the
-    report row of the worst one."""
+def verify_tail_integral(lam, mu, quad: QuadratureSpec | None = None,
+                         tolerance: float = 1e-10) -> CaseResult:
+    """Radial quadrature of the plane integral of (p^2 - mu)^-2 over
+    p^2 > lam against the closed form pi/(lam - mu), at every pair
+    (lam[i], mu[i]).
+
+    The substitution s = lam + t/(1-t) maps the semi-infinite radial
+    integral onto [0, 1] with a smooth rational integrand; the pairs are
+    integrated in lockstep (:func:`lockstep_intervals`).
+    """
+    lam, mu = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lam, mu))
+    _check((lam > 0) & (mu < 0), None, "need lam > 0 and mu < 0")
+    quad = quad or QuadratureSpec()
     c = lam - mu
 
     def integrand(t, rows):
@@ -90,28 +104,24 @@ def _tail_result(lam, mu, quad: QuadratureSpec, tol: float) -> CaseResult:
                    {"lam": float(lam[w]), "mu": float(mu[w]),
                     "quadrature": float(val[w]),
                     "closed_form": float(exact[w])},
-                   tol)
+                   tolerance)
 
 
-def verify_tail_integral(lam: float, mu: float,
-                         quad: QuadratureSpec | None = None,
-                         tolerance: float = 1e-10) -> CaseResult:
-    """Radial quadrature of the plane integral of (p^2 - mu)^-2 over
-    p^2 > lam against the closed form pi/(lam - mu).
+def verify_disk_area(lam, quad: QuadratureSpec | None = None,
+                     tolerance: float = 1e-12) -> CaseResult:
+    """Cubature of the cutoff disk q^2 <= lam against its area pi*lam, at
+    every lam[i].
 
-    The substitution s = lam + t/(1-t) maps the semi-infinite radial
-    integral onto [0, 1] with a smooth rational integrand.
+    This pins the norm value sqrt(pi*lam) of the low-momentum modes that
+    enters the square-root terms of the bound equation.  The y extent is
+    reduced exactly to the chord length 2 sqrt(lam - x^2); the x integral
+    is adaptive, taken in x = sqrt(lam) sin(theta), where the chord's
+    square-root endpoint singularities become the smooth integrand
+    2 lam cos^2(theta) on [-pi/2, pi/2].
     """
-    if not (lam > 0 and mu < 0):
-        raise ValueError("need lam > 0 and mu < 0")
-    return _tail_result(np.array([lam], dtype=float),
-                        np.array([mu], dtype=float), quad or QuadratureSpec(),
-                        tolerance)
-
-
-def _disk_result(lam, quad: QuadratureSpec, tol: float) -> CaseResult:
-    """:func:`verify_disk_area` at every lam[i]; the report row of the
-    worst one."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    _check(lam > 0, None, "lam must be positive")
+    quad = quad or QuadratureSpec()
 
     def chord(theta, rows):
         # chord times the jacobian dx/dtheta = sqrt(lam) cos(theta)
@@ -127,35 +137,28 @@ def _disk_result(lam, quad: QuadratureSpec, tol: float) -> CaseResult:
     return _result("cutoff_disk_area", n, viol[w],
                    {"lam": float(lam[w]), "cubature": float(val[w]),
                     "closed_form": float(exact[w])},
-                   tol)
+                   tolerance)
 
 
-def verify_disk_area(lam: float, quad: QuadratureSpec | None = None,
-                     tolerance: float = 1e-12) -> CaseResult:
-    """Cubature of the cutoff disk q^2 <= lam against its area pi*lam.
+def verify_sigma_minus(p, q, B, params: ModelParams,
+                       tolerance: float = 1e-8) -> CaseResult:
+    """Three-way agreement for the antisymmetric kernel part sigma^-, at
+    every input row.
 
-    This pins the norm value sqrt(pi*lam) of the low-momentum modes that
-    enters the square-root terms of the bound equation.  The y extent is
-    reduced exactly to the chord length 2 sqrt(lam - x^2); the x integral
-    is adaptive, taken in x = sqrt(lam) sin(theta), where the chord's
-    square-root endpoint singularities become the smooth integrand
-    2 lam cos^2(theta) on [-pi/2, pi/2].
+    p and q are 2-vectors or (n, 2) arrays; B and params.mass_ratio are
+    floats or (n,) arrays.  (a) half difference of the two resolvent
+    signs, (b) 64-node Gauss-Legendre quadrature of
+    M (p.q) int_-1^1 du [(M+1)(p^2+q^2) - 2u p.q + B]^-2, (c) the
+    closed-form antiderivative evaluated at the endpoints.  Comparisons
+    are relative to |sigma^-|, floored at 1e-6 times the size of sigma
+    itself where the antisymmetric part cancels to zero.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    return _disk_result(np.array([lam], dtype=float),
-                        quad or QuadratureSpec(), tolerance)
-
-
-def _sigma_forms_gl(px, py, qx, qy, B, M, n_nodes: int = 64):
-    """Three evaluations of the antisymmetric kernel part sigma^-.
-
-    Difference of resolvents, Gauss-Legendre quadrature of the u-integral
-    representation, and the closed-form antiderivative.  All inputs
-    broadcast.  Returns (diff_form, u_integral, closed_form, magnitude),
-    where magnitude is the size of sigma itself (used to floor relative
-    comparisons when the antisymmetric part cancels to zero).
-    """
+    p = np.asarray(p, dtype=float).reshape(-1, 2)
+    q = np.asarray(q, dtype=float).reshape(-1, 2)
+    B = np.broadcast_to(np.asarray(B, dtype=float), len(p))
+    _check(B >= 0, None, "B must be nonnegative")
+    M = np.broadcast_to(params.mass_ratio, len(p))
+    (px, py), (qx, qy) = p.T, q.T
     S = px * px + py * py + qx * qx + qy * qy
     b = px * qx + py * qy
     sig_plus = 1.0 / ((1.0 + 1.0 / M) * S + (2.0 / M) * b + B / M)
@@ -163,54 +166,27 @@ def _sigma_forms_gl(px, py, qx, qy, B, M, n_nodes: int = 64):
     diff_form = 0.5 * (sig_minus - sig_plus)
 
     a = (M + 1.0) * S + B
-    x, w = leggauss(n_nodes)
-    den = a[..., None] - 2.0 * x * b[..., None]
-    u_integral = M * b * ((w / (den * den)).sum(axis=-1))
+    x, w = leggauss(64)
+    den = a[:, None] - 2.0 * x * b[:, None]
+    u_int = M * b * ((w / (den * den)).sum(axis=-1))
 
     closed = 2.0 * M * b / (a * a - 4.0 * b * b)
     magnitude = 1.0 / ((1.0 + 1.0 / M) * S + B / M)
-    return diff_form, u_integral, closed, magnitude
-
-
-def verify_sigma_minus(p, q, B: float, params: ModelParams,
-                       quad: QuadratureSpec | None = None,
-                       tolerance: float = 1e-8) -> CaseResult:
-    """Three-way agreement for sigma^- at one input.
-
-    (a) half difference of the two resolvent signs, (b) adaptive
-    quadrature of M (p.q) int_-1^1 du [(M+1)(p^2+q^2) - 2u p.q + B]^-2,
-    (c) the closed-form antiderivative evaluated at the endpoints.
-    """
-    quad = quad or QuadratureSpec()
-    if B < 0:
-        raise ValueError("B must be nonnegative")
-    M = params.mass_ratio
-    px, py = float(p[0]), float(p[1])
-    qx, qy = float(q[0]), float(q[1])
-    S = px * px + py * py + qx * qx + qy * qy
-    b = px * qx + py * qy
-    a = (M + 1.0) * S + B
-
-    def integrand(u):
-        return 1.0 / (a - 2.0 * u * b) ** 2
-
-    u_int = M * b * adaptive_gk15(integrand, -1.0, 1.0, quad.rel_tol,
-                                  quad.abs_tol, quad.max_subdivisions)
-    diff_form, _, closed, magnitude = _sigma_forms_gl(
-        np.float64(px), np.float64(py), np.float64(qx), np.float64(qy),
-        np.float64(B), M)
-    scale = max(abs(closed), 1e-6 * magnitude)
-    violation = max(abs(diff_form - closed), abs(u_int - closed),
-                    abs(float(diff_form) - u_int)) / scale
-    return _result("sigma_minus_identity", 1, violation,
-                   {"px": px, "py": py, "qx": qx, "qy": qy, "B": B,
-                    "M": M, "difference_form": float(diff_form),
-                    "u_quadrature": u_int, "closed_form": float(closed)},
+    scale = np.maximum(np.abs(closed), 1e-6 * magnitude)
+    viol = np.maximum(np.abs(diff_form - closed),
+                      np.maximum(np.abs(u_int - closed),
+                                 np.abs(diff_form - u_int))) / scale
+    worst = int(np.argmax(viol))
+    return _result("sigma_minus_identity", len(p), float(viol[worst]),
+                   {"p": p[worst].tolist(), "q": q[worst].tolist(),
+                    "B": float(B[worst]), "M": float(M[worst]),
+                    "difference_form": float(diff_form[worst]),
+                    "u_quadrature": float(u_int[worst]),
+                    "closed_form": float(closed[worst])},
                    tolerance)
 
 
 def verify_u_integral_bound(samples: int, seed: int,
-                            params: ModelParams | None = None,
                             tolerance: float = 1e-12) -> CaseResult:
     """Two-step domination of the u-integral with the shifted momenta.
 
@@ -230,10 +206,7 @@ def verify_u_integral_bound(samples: int, seed: int,
     ph = rng.uniform(-_VEC_BOX, _VEC_BOX, (samples, 2))
     qh = rng.uniform(-_VEC_BOX, _VEC_BOX, (samples, 2))
     B = rng.uniform(0.0, _B_BOX, samples)
-    if params is not None:
-        M = np.full(samples, params.mass_ratio)
-    else:
-        M = rng.uniform(*_M_BOX, samples)
+    M = rng.uniform(*_M_BOX, samples)
 
     S = (ph ** 2).sum(axis=1) + (qh ** 2).sum(axis=1)
     b = np.abs(ph[:, 0] * qh[:, 0] + ph[:, 1] * qh[:, 1])
@@ -266,9 +239,7 @@ def verify_u_integral_bound(samples: int, seed: int,
 
 
 def verify_momentum_bounds(samples: int, seed: int,
-                           params: ModelParams | None = None,
-                           tolerance: float = 1e-12,
-                           sharpness_tol: float = 1e-10) -> CaseResult:
+                           tolerance: float = 1e-12) -> CaseResult:
     """Shifted-momentum lower bounds and their sharpness.
 
     For random p, P, u and p_hat = p + P/(M+2):
@@ -278,17 +249,14 @@ def verify_momentum_bounds(samples: int, seed: int,
 
     with the u = 0 case additionally dominating M p^2.  The first constant
     is sharp: the quadratic minimiser P* = -p (M+1-u)(M+2)/(M^2+3M+1-u)
-    attains the middle expression, which is checked to sharpness_tol.
+    attains the middle expression, which is checked to 1e-10 relative.
     """
     rng = np.random.default_rng(seed)
     p = rng.uniform(-_VEC_BOX, _VEC_BOX, (samples, 2))
     P = rng.uniform(-_VEC_BOX, _VEC_BOX, (samples, 2))
     u = rng.uniform(0.0, 1.0, samples)
     u[: samples // 10] = 0.0  # exercise the u = 0 specialisation
-    if params is not None:
-        M = np.full(samples, params.mass_ratio)
-    else:
-        M = rng.uniform(*_M_BOX, samples)
+    M = rng.uniform(*_M_BOX, samples)
 
     psq = (p ** 2).sum(axis=1)
     denom = M * M + 3.0 * M + 1.0 - u
@@ -310,8 +278,8 @@ def verify_momentum_bounds(samples: int, seed: int,
 
     P_star = -p * ((M + 1.0 - u) * (M + 2.0) / denom)[:, None]
     sharp_gap = np.abs(left_side(P_star) - mid) / np.maximum(mid, 1e-300)
-    # sharpness is a separate (looser) tolerance; fold it into one margin
-    viol = np.maximum(viol, sharp_gap * (tolerance / sharpness_tol))
+    # sharpness has its own, looser tolerance 1e-10; fold it into one margin
+    viol = np.maximum(viol, sharp_gap * (tolerance / 1e-10))
 
     worst = int(np.argmax(viol))
     violation = max(0.0, float(viol[worst]))
@@ -377,7 +345,6 @@ def _shifted_envelope_integrals(vnorm, A, ku, lo, hi,
 
 
 def verify_rearrangement(samples: int, seed: int,
-                         params: ModelParams | None = None,
                          quad: QuadratureSpec | None = None,
                          tolerance: float = 1e-8) -> CaseResult:
     """Shifted envelope integral never exceeds its symmetrised closed form.
@@ -401,8 +368,7 @@ def verify_rearrangement(samples: int, seed: int,
     psq = rng.uniform(0.0, 100.0, samples)
     mu = -(10.0 ** rng.uniform(-1.0, 1.0, samples))
     lam = 10.0 ** rng.uniform(-1.0, 1.0, samples)
-    M = (np.full(samples, params.mass_ratio) if params is not None
-         else rng.uniform(*_M_BOX, samples))
+    M = rng.uniform(*_M_BOX, samples)
 
     pars = ModelParams(M, -1.0)
     k = KernelPoint(u=u, tau=tau, psq=psq, mu=mu, lam=lam)
@@ -436,38 +402,36 @@ def _pre_minimization_expression(tau, mu: float, lam: float,
 
 
 def verify_bound_chain(params: ModelParams, lam: float, mu_grid,
-                       tau_grid=None, tolerance: float = 1e-12) -> CaseResult:
+                       tolerance: float = 1e-12) -> CaseResult:
     """The bound equation is the tau-minimum of the spectral expression.
 
     With the total momentum set to zero and the free fermion energy
     scalarised to tau, the pre-minimisation expression equals pi times
     the bound-equation left side at tau = 0 and dominates it for every
-    tau >= 0 (checked on a grid).
+    tau >= 0 (checked on tau = 0 and 49 points log spaced from 1e-6|E_B|
+    to 1e6|E_B|).
     """
     alpham = alpha_m(params)
     eb = params.binding_energy
-    if tau_grid is None:
-        tau_grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 49) * (-eb)])
-    tau_grid = np.asarray(tau_grid, dtype=float)
+    tau_grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 49) * (-eb)])
     violation = 0.0
     worst = {}
-    n = 0
     for mu in np.asarray(mu_grid, dtype=float):
         if not mu < eb:
             raise ValueError("mu grid must lie strictly below E_B")
         base = math.pi * bound_lhs_alt(mu, lam, params, alpham)
         expr = _pre_minimization_expression(tau_grid, mu, lam, params, alpham)
         scale = max(1.0, abs(base))
-        eq_gap = abs(expr[tau_grid == 0.0][0] - base) / scale
+        eq_gap = abs(expr[0] - base) / scale  # tau_grid[0] = 0
         dom_gap = float(np.max(base - expr)) / scale
-        n += len(tau_grid)
         for gap, kind in ((eq_gap, "tau0_equality"), (max(0.0, dom_gap), "domination")):
             if gap > violation:
                 violation = gap
                 worst = {"mu": float(mu), "lam": lam,
                          "M": params.mass_ratio, "check": kind,
                          "base": base}
-    return _result("tau_chain", n, violation, worst, tolerance)
+    return _result("tau_chain", np.size(mu_grid) * len(tau_grid), violation,
+                   worst, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +442,13 @@ def _case_resolvent_tail(samples, seed, tol, quad):
     rng = np.random.default_rng(seed)
     lams = 10.0 ** rng.uniform(-2, 2, samples)
     mus = -(10.0 ** rng.uniform(-2, 2, samples))
-    return _tail_result(lams, mus, quad or QuadratureSpec(), tol)
+    return verify_tail_integral(lams, mus, quad, tol)
 
 
 def _case_disk_area(samples, seed, tol, quad):
     rng = np.random.default_rng(seed)
     lams = 10.0 ** rng.uniform(-2, 2, samples)
-    return _disk_result(lams, quad or QuadratureSpec(), tol)
+    return verify_disk_area(lams, quad, tol)
 
 
 def _case_sigma_minus(samples, seed, tol, quad):
@@ -493,20 +457,7 @@ def _case_sigma_minus(samples, seed, tol, quad):
     q = rng.uniform(-_VEC_BOX, _VEC_BOX, (samples, 2))
     B = rng.uniform(0.0, _B_BOX, samples)
     M = rng.uniform(*_M_BOX, samples)
-    diff_form, u_int, closed, magnitude = _sigma_forms_gl(
-        p[:, 0], p[:, 1], q[:, 0], q[:, 1], B, M)
-    scale = np.maximum(np.abs(closed), 1e-6 * magnitude)
-    viol = np.maximum(np.abs(diff_form - closed),
-                      np.maximum(np.abs(u_int - closed),
-                                 np.abs(diff_form - u_int))) / scale
-    worst = int(np.argmax(viol))
-    return _result("sigma_minus_identity", samples, float(viol[worst]),
-                   {"p": p[worst].tolist(), "q": q[worst].tolist(),
-                    "B": float(B[worst]), "M": float(M[worst]),
-                    "difference_form": float(diff_form[worst]),
-                    "u_quadrature": float(u_int[worst]),
-                    "closed_form": float(closed[worst])},
-                   tol)
+    return verify_sigma_minus(p, q, B, ModelParams(M, -1.0), tol)
 
 
 def _case_momentum_bounds(samples, seed, tol, quad):
@@ -628,7 +579,6 @@ SUITES = ("all", "integrals", "inequalities", "monotonicity", "chain")
 
 
 def run_suite(suite: str = "all", samples: int = 10000, seed: int = 0,
-              quad: QuadratureSpec | None = None,
               tol_override: float | None = None) -> VerificationReport:
     """Run the selected verification cases and assemble the report.
 
@@ -643,6 +593,6 @@ def run_suite(suite: str = "all", samples: int = 10000, seed: int = 0,
         if suite != "all" and group != suite:
             continue
         tol = tol_override if tol_override is not None else default_tol
-        rows.append(runner(samples, seed, tol, quad))
+        rows.append(runner(samples, seed, tol, None))
     return VerificationReport(cases=rows,
                               suite_passed=all(r.passed for r in rows))

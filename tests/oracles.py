@@ -13,9 +13,11 @@ for bit.  ``gk15_heap`` is the scalar heap loop of worst-panel
 bisection: it shares the package's GK15 panel rule and convergence test
 and keeps its own panel order, in a heap where the package keeps an
 array store.  ``inner_integral_point`` and ``objective_point`` are the C
-objective one point at a time: they share the radial integrand and the
-tail bound and run the radial integral by ``gk15_heap``, where the
-package integrates many points as the rows of one batch.
+objective one point at a time: they share the radial integrand and run
+the radial integral by ``gk15_heap``, where the package integrates many
+points as the rows of one batch.  ``tail_bound_point`` is their certified
+tail bound on plain floats, where the package evaluates it on the
+columns of a batch.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 from scipy import integrate, optimize
 
 from polaron2d._quad import _budget_error, _converged, _gk15, _nodes
-from polaron2d.cconstant import (_radial, _tail_exceeded,
-                                 inner_integral_tail_bound, weight)
+from polaron2d.cconstant import (TailBoundExceeded, _radial, _shift,
+                                 _tail_exceeded, weight)
 
 
 def alpha_quad(M: float) -> float:
@@ -123,6 +125,26 @@ def gk15_heap(f, a: float, b: float, rel_tol: float, abs_tol: float,
     raise _budget_error(a, b, total_err, max_subdivisions)
 
 
+def tail_bound_point(p, Q, tau: float, cfg, params) -> float:
+    """``cconstant.inner_integral_tail_bound`` for one point, on plain
+    floats with ``math``: the scalar path the package's array evaluation
+    replaced.  Same error and message."""
+    M = params.mass_ratio
+    p_hat = _shift(p, Q, M)
+    php = math.hypot(float(p_hat[0]), float(p_hat[1]))
+    if php == 0.0:
+        return 0.0
+    cnorm = math.hypot(float(Q[0]), float(Q[1])) / (M + 2.0)
+    R = cfg.q_mag_max
+    if R <= 2.0 * cnorm:
+        raise TailBoundExceeded(
+            f"truncation radius {R} is too small for |Q| = {cnorm * (M + 2.0):.3g}; "
+            "the certified tail bound degenerates")
+    w_top = math.sqrt(1.0 + (tau - cfg.mu) / R ** 2)
+    w_bot = math.sqrt(math.log1p((R ** 2 - cfg.mu) / cfg.lam))
+    return 2.0 * math.pi * php * w_top / ((M + 2.0) * w_bot * (R - cnorm) ** 2)
+
+
 def inner_integral_point(p, Q, tau: float, cfg, params,
                          _with_tail: bool = False):
     """``cconstant.inner_integral`` for one point, on plain floats.
@@ -141,7 +163,7 @@ def inner_integral_point(p, Q, tau: float, cfg, params,
     php = math.hypot(float(p_hat[0]), float(p_hat[1]))
     if php == 0.0:
         return (0.0, 0.0) if _with_tail else 0.0
-    tail = inner_integral_tail_bound(p, Q, tau, cfg, params)
+    tail = tail_bound_point(p, Q, tau, cfg, params)
     B = (M / (M + 2.0)) * float(Q @ Q) + M * (tau - cfg.mu)
     quad = cfg.quad
     ph = (float(p_hat[0]), float(p_hat[1]))

@@ -18,7 +18,7 @@ from polaron2d.cconstant import _GRID_CHUNK, _angular_kernel, _grid_values
 
 from oracles import (c_integrand_scalar, cartesian_annulus_integral,
                      inner_integral_point, objective_point, scipy_minimize,
-                     sigma_minus_circle_quad)
+                     sigma_minus_circle_quad, tail_bound_point)
 
 
 def rotation(angle):
@@ -283,6 +283,33 @@ class TestInnerIntegral:
         tb = inner_integral_tail_bound((1.0, 0.5), (2.0, 0.0), 0.7,
                                        small_cfg, params_m2)
         assert 0.0 < tb < 1e-3
+
+    @pytest.mark.parametrize("M", [0.5, 2.0, 5.0])
+    def test_tail_bounds_equal_per_point_reference(self, M, rng):
+        # the array tail bound of every row, bit for bit, and the error of
+        # every degenerate row, against the scalar path; rows with
+        # p_hat = 0 give 0 even where the bound degenerates
+        params = ModelParams(M, -1.0)
+        cfg = replace(coarse_config(), q_mag_max=60.0)
+        n = 2000
+        Q = rng.uniform(-300, 300, (n, 2))
+        p = rng.uniform(-40, 40, (n, 2))
+        p[::7] = -Q[::7] / (M + 2.0)
+        tau = 10.0 ** rng.uniform(-3, 3, n)
+        got, errors = cconstant._tail_bounds(p, Q, tau, cfg, params)
+        kinds = set()
+        for i in range(n):
+            try:
+                want = tail_bound_point(p[i], Q[i], tau[i], cfg, params)
+            except TailBoundExceeded as exc:
+                assert str(errors[i]) == str(exc)
+                assert got[i] == 0.0
+                kinds.add("degenerate")
+            else:
+                assert errors[i] is None
+                assert got[i] == want
+                kinds.add("zero" if want == 0.0 else "bound")
+        assert kinds == {"degenerate", "zero", "bound"}
 
 
 # A 4-D box and two test functions whose minimiser c lies above the box in

@@ -96,11 +96,23 @@ class TestStartup:
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(root / "src"), str(root / "perfbench")]))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from tracing import Tracer; Tracer().install()"],
-            capture_output=True, text=True, timeout=300, env=env)
+        # the suite's tail and disk rows come from the public functions the
+        # tracer wraps, so it counts one call of each
+        script = "\n".join([
+            "from tracing import Tracer",
+            "tracer = Tracer()",
+            "tracer.install()",
+            "from polaron2d.verify import run_suite",
+            "run_suite('integrals', samples=20, seed=1)",
+            "m = tracer.layer_metrics()",
+            "print(m['verify.verify_tail_integral.calls'],",
+            "      m['verify.verify_disk_area.calls'])",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env=env)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1.0", "1.0"]
 
     def test_refinement_batches_its_objective(self, monkeypatch):
         # the refinement evaluates its trial points in lockstep rounds of

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from polaron2d import (BracketFailure, CutoffChoice, ModelParams, RangeError,
                        RootFindSpec, SupercriticalMass, alpha_m, bound_lhs,
                        critical_mass, optimize_lambda, solve_gamma, solve_mu,
-                       verify_sigma_minus)
+                       verify_tail_integral)
 
 import polaron2d.solvers as solvers
 from oracles import (bisect, count_local_maxima, critical_mass_grid,
@@ -267,7 +267,7 @@ class TestFloatSolver:
         optimize_lambda(params_m2, CutoffChoice.optimize(1e-3, 1e3))
         assert quadrature_calls == []
         # the counter does see quadratures made elsewhere in the package
-        verify_sigma_minus((1.0, 0.5), (0.0, 2.0), 3.0, params_m2)
+        verify_tail_integral(1.0, -1.0)
         assert len(quadrature_calls) == 1
 
 

@@ -364,6 +364,92 @@ class TestLockstep:
         assert verify._case_disk_area(500, 1, 1e-12, quad).passed
 
 
+# The arguments of the public function behind each array case, drawn as
+# its _CASES runner draws them.
+
+def _tail_draw(samples, seed):
+    rng = np.random.default_rng(seed)
+    lams = 10.0 ** rng.uniform(-2, 2, samples)
+    return lams, -(10.0 ** rng.uniform(-2, 2, samples))
+
+
+def _disk_draw(samples, seed):
+    rng = np.random.default_rng(seed)
+    return (10.0 ** rng.uniform(-2, 2, samples),)
+
+
+def _sigma_draw(samples, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-10, 10, (samples, 2))
+    q = rng.uniform(-10, 10, (samples, 2))
+    B = rng.uniform(0.0, 100.0, samples)
+    M = rng.uniform(0.2, 50.0, samples)
+    return p, q, B, ModelParams(M, -1.0)
+
+
+# name -> (public function, draw, the one-row call at a worst_input)
+PUBLIC_CASES = {
+    "resolvent_tail_integral": (
+        verify_tail_integral, _tail_draw,
+        lambda f, w: f(w["lam"], w["mu"])),
+    "cutoff_disk_area": (
+        verify_disk_area, _disk_draw, lambda f, w: f(w["lam"])),
+    "sigma_minus_identity": (
+        verify_sigma_minus, _sigma_draw,
+        lambda f, w: f(tuple(w["p"]), tuple(w["q"]), w["B"],
+                       ModelParams(w["M"], -1.0))),
+}
+
+
+class TestPublicArrayCalls:
+    """verify_tail_integral, verify_disk_area and verify_sigma_minus take
+    per-sample arrays; the suite rows are their calls, and a single input
+    is a one-row call."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(PUBLIC_CASES))
+    def test_suite_row_is_the_public_call(self, case, seed):
+        fn, draw, _ = PUBLIC_CASES[case]
+        _, tol, runner = verify._CASES[case]
+        assert fn(*draw(500, seed), tolerance=tol) == runner(500, seed, tol,
+                                                             None)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(PUBLIC_CASES))
+    def test_one_row_call_equals_its_batch_row(self, case, seed):
+        fn, draw, one_row = PUBLIC_CASES[case]
+        batch = fn(*draw(500, seed))
+        one = one_row(fn, batch.worst_input)
+        assert one.samples_run == 1
+        assert one.name == batch.name and one.passed == batch.passed
+        if case == "sigma_minus_identity":
+            # elementwise formulas and a per-row Gauss-Legendre sum
+            assert one.worst_input == batch.worst_input
+            assert one.max_violation == batch.max_violation
+            return
+        # a lockstep row depends on its batch position in the last bits
+        # (the BLAS summation order of the panel sums)
+        value = "quadrature" if "quadrature" in one.worst_input else "cubature"
+        for key in one.worst_input:
+            if key != value:
+                assert one.worst_input[key] == batch.worst_input[key]
+        assert one.worst_input[value] == pytest.approx(
+            batch.worst_input[value], rel=1e-14, abs=0)
+        assert abs(one.max_violation - batch.max_violation) <= 1e-14
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: verify_tail_integral([1.0, 2.0], [-1.0, 0.0]),
+         "need lam > 0 and mu < 0"),
+        (lambda: verify_disk_area([1.0, -1.0]), "lam must be positive"),
+        (lambda: verify_sigma_minus([(1.0, 0.0)] * 2, [(0.0, 1.0)] * 2,
+                                    [1.0, -1.0], ModelParams(2.0, -1.0)),
+         "B must be nonnegative"),
+    ], ids=["tail", "disk", "sigma"])
+    def test_one_invalid_row_rejects_the_call(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestCallsCorefuncs:
     """The vectorised cases evaluate the corefuncs functions they import,
     not copies of their formulas: a perturbed function shows in the
