@@ -6,13 +6,12 @@ panels, run for many integrands over one interval at once.  The C
 estimate calls it for every radial integral (``cconstant._inner_rows``:
 the grid scan, the Nelder-Mead refinement and the one-row
 ``inner_integral``).  ``lockstep_intervals`` gives each row its own
-interval, for the tail, disk and rearrangement checks of ``verify``.
+interval, for the tail and disk checks of ``verify``; the rearrangement
+check and the angular integrals of the C estimate are closed forms.
 ``adaptive_gk15``, the one-row call, and ``arc_adaptive_batch``,
 ``lockstep_intervals`` on (m, k) arrays, have no production caller: the
 benchmark tracer in perfbench/ resolves both by name, and the tests use
-them, so they stay until the tracer counts lockstep rounds instead.  The
-angular integrals of the C estimate and of the rearrangement check are
-elementary and are evaluated by their callers.
+them, so they stay until the tracer counts lockstep rounds instead.
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ _EPS = np.finfo(float).eps
 @lru_cache(maxsize=None)
 def leggauss(n: int):
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _converged(total, total_err, total_abs, rel_tol: float,
@@ -200,17 +198,17 @@ def lockstep_gk15(f, n: int, a: float, b: float, rel_tol: float,
 
 
 # Rows per lockstep_gk15 call of lockstep_intervals.  A batch shares its
-# integrand calls, and the gain levels off at 128 rows: the tail, disk and
-# rearrangement verification cases together took 62, 53, 50, 49 and 53 ms
-# at 32, 64, 128, 256 and 512 rows (500 samples, seeds 1-3, medians of 21
-# runs), and 1.13, 0.99, 0.95, 0.96 and 0.94 s at 10000 samples (one core
-# of a 2-core x86-64 host).  Larger batches only grow the temporaries.
+# integrand calls: the tail and disk verification cases together took 71-75,
+# 47-52, 29-30, 16-20 and 18 ms at 32, 64, 128, 256 and 512 rows (500
+# samples, seeds 1-3, medians of 21 runs), and 0.53, 0.31, 0.18, 0.12 and
+# 0.10 s at 10000 samples (one core of a 2-core x86-64 host).  Larger chunks
+# are faster, but a row's last bits depend on its batch (the BLAS order of
+# the panel sums), and 128 rows keep the bits of every verify report.
 _ROW_CHUNK = 128
 
 
 def lockstep_intervals(f, lo, hi, rel_tol: float, abs_tol: float,
-                       max_subdivisions: int = 200,
-                       panels: int = 1) -> np.ndarray:
+                       max_subdivisions: int = 200) -> np.ndarray:
     """Integral of integrand i over [lo[i], hi[i]], for every i.
 
     ``f(x, rows)`` evaluates the integrands ``rows`` at the abscissae
@@ -233,7 +231,7 @@ def lockstep_intervals(f, lo, hi, rel_tol: float, abs_tol: float,
 
         values[chunk], failures = lockstep_gk15(
             mapped, len(chunk), 0.0, 1.0, rel_tol, abs_tol,
-            max_subdivisions, panels)
+            max_subdivisions)
         for i, exc in zip(chunk.tolist(), failures):
             if exc is not None:
                 raise QuadratureError(str(exc).replace(

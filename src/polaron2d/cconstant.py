@@ -19,7 +19,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from ._quad import lockstep_gk15
-from .corefuncs import ModelParams, QuadratureSpec, _math_map
+from .corefuncs import ModelParams, QuadratureSpec
 
 __all__ = [
     "GridSpec", "CSearchConfig", "CEstimate",
@@ -407,8 +407,9 @@ def _tail_bounds(p: np.ndarray, Q: np.ndarray, tau: np.ndarray,
     raised there (with bound 0).  ``math.hypot`` and the C library's pow
     keep the bits of a scalar evaluation."""
     M = params.mass_ratio
-    php = _math_map(math.hypot, *_shift(p, Q, M).T)
-    cnorm = _math_map(math.hypot, *Q.T) / (M + 2.0)
+    x, y = np.concatenate([_shift(p, Q, M), Q]).T.tolist()
+    php, qnorm = np.fromiter(map(math.hypot, x, y), float).reshape(2, -1)
+    cnorm = qnorm / (M + 2.0)
     R = cfg.q_mag_max
     fits = R > 2.0 * cnorm
     # p_hat = 0 gives 0, even where the bound would degenerate; a

@@ -53,7 +53,7 @@ class RangeError(RuntimeError):
 class RootFindSpec:
     # the bound ratio grows like exp(alpha/(M/(M+1) - alpha)) towards the
     # critical mass, so the bracket budget must cover the full float range
-    x_tol: float = 1e-12
+    x_tol: float = 1e-12  # times |E_B| in solve_mu, absolute elsewhere
     f_tol: float = 1e-10
     max_iter: int = 1200
 
@@ -175,7 +175,8 @@ def solve_mu(params: ModelParams, lam: float,
 
     The root is bracketed between E_B(1 + 1e-9), where the left side is
     negative, and a geometrically expanded left endpoint where it turns
-    positive, then refined by bisection-safeguarded interpolation.  The
+    positive, then refined by bisection-safeguarded interpolation to
+    x_tol |E_B|, covariant under (mu, lam, E_B) -> s (mu, lam, E_B).  The
     left side is :func:`corefuncs.bound_lhs`, evaluated here on floats;
     the bracket keeps mu < 0, so the inputs are checked once.
     """
@@ -210,7 +211,7 @@ def solve_mu(params: ModelParams, lam: float,
             f"no sign change within {spec.max_iter} bracket expansions")
 
     root, fres, evals = _brent(f, left, right, f_left, f_right,
-                               spec.x_tol * max(1.0, abs(eb)), spec.max_iter)
+                               spec.x_tol * abs(eb), spec.max_iter)
     iterations += evals
     if abs(fres) > spec.f_tol:
         raise NonConvergence(

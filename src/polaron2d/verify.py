@@ -10,9 +10,10 @@ asymptotically trivial outside these boxes, and the boxes keep the
 quadratures well conditioned.  Reports are reproducible bit for bit from
 (seed, samples, tolerances).  The tail, disk and sigma^- checks take
 per-sample arrays, and their suite rows are their calls on the drawn
-samples; the tail and disk integrals run in lockstep
-(``_quad.lockstep_intervals``), and the u-integral of sigma^- by 64-node
-Gauss-Legendre.
+samples.  The tail and disk integrals run in lockstep
+(``_quad.lockstep_intervals``), the u-integral of sigma^- by 64-node
+Gauss-Legendre, and the rearrangement inequality is closed form on both
+sides.
 """
 
 from __future__ import annotations
@@ -292,60 +293,31 @@ def verify_momentum_bounds(samples: int, seed: int,
                    tolerance)
 
 
-def _envelope_circle_integral(r, vnorm: float, A: float, ku: float):
-    """Integral of kernel_envelope(|q+v|^2) over the circle |q| = r.
+def _shifted_envelope_lhs(vnorm, A, ku, lam) -> np.ndarray:
+    """int_{q^2 > lam} kernel_envelope(|q+v|^2) / q^2 dq in closed form, one
+    per entry of the arrays |v|, A, M+1-u and lam.
 
-    The envelope is 1/(2 ku^2 (|q+v|^2 + A)) and |q+v|^2 = r^2 + v^2 +
-    2 r |v| cos(theta), so the angle integrates to 2 pi / sqrt(D^2 - (2r|v|)^2)
-    with D = r^2 + v^2 + A.  Factored as ((r-|v|)^2 + A)((r+|v|)^2 + A),
-    the difference of squares has no cancellation.
+    The circle |q| = r carries pi / (ku^2 sqrt(P)), P = ((r-|v|)^2 + A)
+    ((r+|v|)^2 + A), and int_lam^inf ds / (2 s sqrt(P)) in s = r^2 is
+    elementary (Gradshteyn & Ryzhik 2.266): with S = A + |v|^2 the value is
+    pi / (2 ku^2 S) log1p(S (S - lam + sqrt(P)) / (2 A lam)).  No difference
+    cancels: S - lam + sqrt(P) = (S sqrt(P) + X) / (sqrt(P) + lam) with
+    X = S^2 + (3A - |v|^2) lam, and where X < 0,
+    S sqrt(P) + X = 4 A lam (2(|v|^2 - A) lam - S^2) / (S sqrt(P) - X).
     """
-    return math.pi / (ku * ku * np.sqrt(((r - vnorm) ** 2 + A)
-                                        * ((r + vnorm) ** 2 + A)))
-
-
-def _radial_ranges(vnorm, k: KernelPoint, params: ModelParams,
-                   quad: QuadratureSpec, rhs_scale) -> tuple:
-    """Constants of the radial integrals, one entry per sample of ``k``
-    and ``params``: (A, M+1-u) and the range [log sqrt(lam), log R] in
-    eta = log r.
-
-    R is the radius whose discarded tail is below
-    1e-3 * quad.rel_tol * rhs_scale by the comparison bound
-    2 pi / ((M+1-u)^2 R^2).
-    """
-    ku = params.mass_ratio + 1.0 - k.u
-    A = a_scale(k, params)
-    tail_target = np.maximum(1e-3 * quad.rel_tol * rhs_scale, 1e-280)
-    R = np.maximum(2.0 * vnorm + 4.0 * np.sqrt(k.lam),
-                   np.sqrt(2.0 * math.pi / (ku * ku * tail_target)))
-    return (A, ku, _math_map(math.log, np.sqrt(k.lam)),
-            _math_map(math.log, R))
-
-
-def _shifted_envelope_integrals(vnorm, A, ku, lo, hi,
-                                quad: QuadratureSpec) -> np.ndarray:
-    """Cubature of int_{q^2 > lam} kernel_envelope(|q+v|^2) / q^2 dq, one
-    per entry of the arrays |v|, A, M+1-u, eta_lo and eta_hi.
-
-    Polar coordinates; the angular integral is the closed form of
-    :func:`_envelope_circle_integral`, and the radial integral runs
-    adaptively in eta = log r over [eta_lo, eta_hi] (the range of
-    :func:`_radial_ranges`), first pass eight equal GK15 panels.
-    """
-
-    def radial(eta, rows):
-        # dq = r dr dtheta and the integrand carries 1/r^2; in eta = log r
-        # the jacobian r cancels one power
-        return _envelope_circle_integral(np.exp(eta), vnorm[rows, None],
-                                         A[rows, None], ku[rows, None])
-
-    return lockstep_intervals(radial, lo, hi, quad.rel_tol, quad.abs_tol,
-                              quad.max_subdivisions, panels=8)
+    v2 = vnorm * vnorm
+    S = A + v2
+    r = np.sqrt(lam)
+    root_p = np.sqrt(((r - vnorm) ** 2 + A) * ((r + vnorm) ** 2 + A))
+    X = S * S + (3.0 * A - v2) * lam
+    num = S * root_p + X
+    np.divide(4.0 * A * lam * (2.0 * (v2 - A) * lam - S * S),
+              S * root_p - X, out=num, where=X < 0.0)
+    ratio = S * num / (2.0 * A * lam * (root_p + lam))
+    return math.pi * np.log1p(ratio) / (2.0 * ku * ku * S)
 
 
 def verify_rearrangement(samples: int, seed: int,
-                         quad: QuadratureSpec | None = None,
                          tolerance: float = 1e-8) -> CaseResult:
     """Shifted envelope integral never exceeds its symmetrised closed form.
 
@@ -354,12 +326,9 @@ def verify_rearrangement(samples: int, seed: int,
       int (1-chi_lam(q))/q^2 * envelope(|q+v|^2) dq
         <= int j_weight(q^2) * envelope(q^2) dq  (closed form).
 
-    Left side by radial quadrature of the closed-form circle integral,
-    the samples in lockstep chunks; right side by envelope_cutoff_integral,
-    evaluated on the arrays of all samples at once.
+    Both sides in closed form (:func:`_shifted_envelope_lhs` and
+    envelope_cutoff_integral), on the arrays of all samples at once.
     """
-    quad = quad or QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
-                                  max_subdivisions=400)
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, samples)
     vmag = rng.uniform(0.0, _VEC_BOX, samples)
@@ -376,8 +345,7 @@ def verify_rearrangement(samples: int, seed: int,
     vx = vmag * _math_map(math.cos, angles)
     vy = vmag * _math_map(math.sin, angles)
     vnorm = _math_map(math.hypot, vx, vy)
-    lhs = _shifted_envelope_integrals(
-        vnorm, *_radial_ranges(vnorm, k, pars, quad, rhs), quad)
+    lhs = _shifted_envelope_lhs(vnorm, a_scale(k, pars), M + 1.0 - u, lam)
     viol = (lhs - rhs) / rhs
     worst = int(np.argmax(viol))
     violation = max(0.0, float(viol[worst]))
@@ -388,17 +356,6 @@ def verify_rearrangement(samples: int, seed: int,
                     "lam": float(lam[worst]), "M": float(M[worst]),
                     "lhs": float(lhs[worst]), "rhs": float(rhs[worst])},
                    tolerance)
-
-
-def _pre_minimization_expression(tau, mu: float, lam: float,
-                                 params: ModelParams, alpham: float):
-    """Spectral lower-bound expression before minimising over tau >= 0."""
-    M = params.mass_ratio
-    eb = params.binding_energy
-    return math.pi * ((M / (M + 1.0)) * np.log((tau - mu) / (-eb))
-                      - math.sqrt(lam / -mu)
-                      - math.sqrt(lam / (lam - mu))
-                      - alpham * (1.0 + np.log1p((tau - mu) / lam)))
 
 
 def verify_bound_chain(params: ModelParams, lam: float, mu_grid,
@@ -412,6 +369,7 @@ def verify_bound_chain(params: ModelParams, lam: float, mu_grid,
     to 1e6|E_B|).
     """
     alpham = alpha_m(params)
+    M = params.mass_ratio
     eb = params.binding_energy
     tau_grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 49) * (-eb)])
     violation = 0.0
@@ -420,15 +378,17 @@ def verify_bound_chain(params: ModelParams, lam: float, mu_grid,
         if not mu < eb:
             raise ValueError("mu grid must lie strictly below E_B")
         base = math.pi * bound_lhs_alt(mu, lam, params, alpham)
-        expr = _pre_minimization_expression(tau_grid, mu, lam, params, alpham)
+        expr = math.pi * ((M / (M + 1.0)) * np.log((tau_grid - mu) / (-eb))
+                          - math.sqrt(lam / -mu)
+                          - math.sqrt(lam / (lam - mu))
+                          - alpham * (1.0 + np.log1p((tau_grid - mu) / lam)))
         scale = max(1.0, abs(base))
         eq_gap = abs(expr[0] - base) / scale  # tau_grid[0] = 0
         dom_gap = float(np.max(base - expr)) / scale
         for gap, kind in ((eq_gap, "tau0_equality"), (max(0.0, dom_gap), "domination")):
             if gap > violation:
                 violation = gap
-                worst = {"mu": float(mu), "lam": lam,
-                         "M": params.mass_ratio, "check": kind,
+                worst = {"mu": float(mu), "lam": lam, "M": M, "check": kind,
                          "base": base}
     return _result("tau_chain", np.size(mu_grid) * len(tau_grid), violation,
                    worst, tolerance)
@@ -469,7 +429,7 @@ def _case_u_integral(samples, seed, tol, quad):
 
 
 def _case_rearrangement(samples, seed, tol, quad):
-    return verify_rearrangement(samples, seed, quad=quad, tolerance=tol)
+    return verify_rearrangement(samples, seed, tolerance=tol)
 
 
 def _case_lhs_forms(samples, seed, tol, quad):

@@ -2,22 +2,23 @@
 
 Everything here is deliberately coded on a different path from the
 package: closed-form antiderivatives, plain bisection, brute-force grid
-scans, scipy.integrate quadrature (the package integrates with its
-own Gauss-Kronrod routines, and evaluates alpha(M) in closed form),
-scipy.optimize's Nelder-Mead (the package carries its own copy), and
+scans, scipy.integrate quadrature (the package integrates with its own
+Gauss-Kronrod routines, and evaluates alpha(M) in closed form),
+scipy.optimize's Nelder-Mead (the package carries its own copy),
 40-digit mpmath roots of the original bound equation (the package
-reduces the cutoff optimum to a root in lam/|mu|).  The exceptions are
-the per-point references of two lockstep paths, which share the rules
-they apply with the package so that their values can be compared bit
-for bit.  ``gk15_heap`` is the scalar heap loop of worst-panel
-bisection: it shares the package's GK15 panel rule and convergence test
-and keeps its own panel order, in a heap where the package keeps an
-array store.  ``inner_integral_point`` and ``objective_point`` are the C
-objective one point at a time: they share the radial integrand and run
-the radial integral by ``gk15_heap``, where the package integrates many
-points as the rows of one batch.  ``tail_bound_point`` is their certified
-tail bound on plain floats, where the package evaluates it on the
-columns of a batch.
+reduces the cutoff optimum to a root in lam/|mu|), and radial
+quadratures of the rearrangement check's left side (the package has it
+in closed form).  The exceptions are the per-point references of two
+lockstep paths, which share the rules they apply with the package so
+that their values can be compared bit for bit.  ``gk15_heap`` is the
+scalar heap loop of worst-panel bisection: it shares the package's GK15
+panel rule and convergence test and keeps its own panel order, in a heap
+where the package keeps an array store.  ``inner_integral_point`` and
+``objective_point`` are the C objective one point at a time: they share
+the radial integrand and run the radial integral by ``gk15_heap``, where
+the package integrates many points as the rows of one batch.
+``tail_bound_point`` is their certified tail bound on plain floats,
+where the package evaluates it on the columns of a batch.
 """
 
 from __future__ import annotations
@@ -364,6 +365,68 @@ def sigma_minus_circle_quad(r: float, p_hat, c_vec, B: float,
                             points=kinks or None, limit=400,
                             epsabs=0.0, epsrel=1e-13)
     return val
+
+
+def envelope_circle_integral(r, vnorm: float, A: float, ku: float):
+    """Integral of kernel_envelope(|q+v|^2) over the circle |q| = r.
+
+    The envelope is 1/(2 ku^2 (|q+v|^2 + A)) and |q+v|^2 = r^2 + v^2 +
+    2 r |v| cos(theta), so the angle integrates to 2 pi / sqrt(D^2 - (2r|v|)^2)
+    with D = r^2 + v^2 + A.  Factored as ((r-|v|)^2 + A)((r+|v|)^2 + A),
+    the difference of squares has no cancellation.
+    """
+    return math.pi / (ku * ku * np.sqrt(((r - vnorm) ** 2 + A)
+                                        * ((r + vnorm) ** 2 + A)))
+
+
+def shifted_envelope_quad(vnorm: float, A: float, ku: float, lam: float,
+                          rhs_scale: float, quad) -> float:
+    """Cubature of int_{q^2 > lam} kernel_envelope(|q+v|^2) / q^2 dq.
+
+    Polar coordinates; the angular integral is the closed form of
+    :func:`envelope_circle_integral`, and the radial integral runs by
+    :func:`gk15_heap` in eta = log r over [log sqrt(lam), log R], first
+    pass eight equal GK15 panels.  R is the radius whose discarded tail is
+    below 1e-3 * quad.rel_tol * rhs_scale by the comparison bound
+    2 pi / (ku^2 R^2).
+    """
+    tail_target = max(1e-3 * quad.rel_tol * rhs_scale, 1e-280)
+    R = max(2.0 * vnorm + 4.0 * math.sqrt(lam),
+            math.sqrt(2.0 * math.pi / (ku * ku * tail_target)))
+
+    def radial(eta):
+        # dq = r dr dtheta and the integrand carries 1/r^2; in eta = log r
+        # the jacobian r cancels one power
+        return envelope_circle_integral(np.exp(eta), vnorm, A, ku)
+
+    return gk15_heap(radial, math.log(math.sqrt(lam)), math.log(R),
+                     quad.rel_tol, quad.abs_tol, quad.max_subdivisions,
+                     panels=8)
+
+
+def shifted_envelope_mpmath(vnorm: float, A: float, ku: float, lam: float,
+                            dps: int = 30) -> float:
+    """int_{q^2 > lam} kernel_envelope(|q+v|^2) / q^2 dq by mpmath.quad.
+
+    The circle integral of :func:`envelope_circle_integral` in s = r^2
+    leaves (pi / ku^2) int_lam^inf ds / (2 s sqrt(P(s))) with
+    P(s) = s^2 + 2(A - v^2) s + (A + v^2)^2; its peak near s = v^2, of
+    width about |v| sqrt(A), is passed to quad as break points.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        v, A, ku, lam = (mp.mpf(x) for x in (vnorm, A, ku, lam))
+        S = A + v * v
+
+        def f(s):
+            return 1 / (2 * s * mp.sqrt(s * s + 2 * (A - v * v) * s + S * S))
+
+        width = v * mp.sqrt(A)
+        peak = [v * v + k * width for k in (-10, -1, 0, 1, 10)]
+        points = [lam] + sorted(p for p in peak if p > lam)
+        points += [2 * points[-1] + 1, mp.inf]
+        return float(mp.pi / (ku * ku) * mp.quad(f, points))
 
 
 def envelope_circle_quad(r: float, v, k, params) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polaron2d import (BracketFailure, CutoffChoice, ModelParams, RangeError,
@@ -258,6 +258,37 @@ class TestFloatSolver:
         base = solve_mu(ModelParams(M, -1.0), ratio).mu
         scaled = solve_mu(ModelParams(M, -s), s * ratio).mu
         assert scaled == pytest.approx(s * base, rel=1e-10)
+
+    @given(M=st.floats(1.3, 50.0, exclude_min=True),
+           log_ratio=st.floats(-2.0, 2.0), log_s=st.floats(-300.0, 300.0))
+    @settings(max_examples=100, deadline=None)
+    def test_scale_covariance_over_the_float_range(self, M, log_ratio,
+                                                   log_s):
+        # Brent stops within x_tol |E_B| of the root, so gamma = mu/E_B has
+        # the same tolerance at every scale: x_tol per solve, plus a few eps
+        # of gamma times the condition number 1/(M/(M+1) - alpha) of the
+        # root (the rounding of s moves the Brent path)
+        ratio, s = 10.0 ** log_ratio, 10.0 ** log_s
+        base = solve_mu(ModelParams(M, -1.0), ratio).gamma
+        assume(base * s < 1e300)
+        scaled = solve_mu(ModelParams(M, -s), s * ratio).gamma
+        coef = M / (M + 1.0) - alpha_m(ModelParams(M, -1.0))
+        eps = np.finfo(float).eps
+        assert abs(scaled - base) <= (2.0 * RootFindSpec().x_tol
+                                      + 8.0 * eps * base / coef)
+
+    @given(M=st.floats(1.3, 50.0, exclude_min=True),
+           log_ratio=st.floats(-2.0, 2.0), k=st.integers(-960, 960))
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scale_is_exact(self, M, log_ratio, k):
+        # scaling by 2**k is exact in every step of the solve, the Brent
+        # tolerance included, while everything stays a normal float
+        ratio, s = 10.0 ** log_ratio, 2.0 ** k
+        base = solve_mu(ModelParams(M, -1.0), ratio)
+        assume(base.gamma * s < 1e300)
+        scaled = solve_mu(ModelParams(M, -s), s * ratio)
+        assert scaled.gamma == base.gamma
+        assert scaled.iterations == base.iterations
 
     def test_no_quadrature_in_the_solvers(self, params_m2, quadrature_calls):
         alpha_m(params_m2)

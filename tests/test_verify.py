@@ -12,10 +12,11 @@ from polaron2d import (KernelPoint, ModelParams, QuadratureError,
                        verify_sigma_minus, verify_tail_integral,
                        verify_u_integral_bound)
 from polaron2d import _quad, verify
-from polaron2d.verify import (_envelope_circle_integral, _radial_ranges,
-                              _shifted_envelope_integrals)
+from polaron2d.verify import _shifted_envelope_lhs
 
-from oracles import envelope_circle_quad, gk15_heap
+from oracles import (envelope_circle_integral, envelope_circle_quad,
+                     gk15_heap, shifted_envelope_mpmath,
+                     shifted_envelope_quad)
 
 REARRANGEMENT_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
                                     max_subdivisions=400)
@@ -49,11 +50,11 @@ def lockstep_runs(monkeypatch):
     return runs
 
 
-# Per-sample loops of the three quadrature cases: the samples each case
+# Per-sample loops of the two quadrature cases: the samples each case
 # draws, one call of the scalar heap loop per sample.  Each returns the
 # integral of every sample and the bisection rounds it took.
 
-def _scalar(f, a, b, quad, panels=1):
+def _scalar(f, a, b, quad):
     calls = []
 
     def counted(x):
@@ -61,7 +62,7 @@ def _scalar(f, a, b, quad, panels=1):
         return f(x)
 
     val = gk15_heap(counted, a, b, quad.rel_tol, quad.abs_tol,
-                    quad.max_subdivisions, panels=panels)
+                    quad.max_subdivisions)
     # a first pass, then two panel calls per bisection
     return val, (len(calls) - 1) // 2
 
@@ -83,9 +84,9 @@ def _disk_loop(samples, seed, quad):
             for lam in lams.tolist()]
 
 
-def _rearrangement_constants(samples, seed, quad):
-    """Per sample, by scalar calls: the right side, and |v|, A, M+1-u and
-    the radial range [eta_lo, eta_hi] of the left side."""
+def _rearrangement_constants(samples, seed):
+    """Per sample, by scalar calls: the right side, and the arguments |v|,
+    A, M+1-u and lam of the left side."""
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, samples)
     vmag = rng.uniform(0.0, 10.0, samples)
@@ -100,31 +101,16 @@ def _rearrangement_constants(samples, seed, quad):
         pars = ModelParams(float(M[i]), -1.0)
         k = KernelPoint(u=float(u[i]), tau=float(tau[i]), psq=float(psq[i]),
                         mu=float(mu[i]), lam=float(lam[i]))
-        ku = pars.mass_ratio + 1.0 - k.u
-        A = a_scale(k, pars)
         vnorm = math.hypot(vmag[i] * math.cos(angles[i]),
                            vmag[i] * math.sin(angles[i]))
-        rhs = envelope_cutoff_integral(k, pars)
-        target = max(1e-3 * quad.rel_tol * rhs, 1e-280)
-        R = max(2.0 * vnorm + 4.0 * math.sqrt(k.lam),
-                math.sqrt(2.0 * math.pi / (ku * ku * target)))
-        out.append((rhs, vnorm, A, ku, math.log(math.sqrt(k.lam)),
-                    math.log(R)))
+        out.append((envelope_cutoff_integral(k, pars), vnorm,
+                    a_scale(k, pars), pars.mass_ratio + 1.0 - k.u, k.lam))
     return np.array(out).T
-
-
-def _rearrangement_loop(samples, seed, quad):
-    return [_scalar(lambda eta, v=vnorm, A=A, ku=ku:
-                    _envelope_circle_integral(np.exp(eta), v, A, ku),
-                    lo, hi, quad, panels=8)
-            for _, vnorm, A, ku, lo, hi in
-            _rearrangement_constants(samples, seed, quad).T.tolist()]
 
 
 CASE_LOOPS = {
     "resolvent_tail_integral": (_tail_loop, QuadratureSpec()),
     "cutoff_disk_area": (_disk_loop, QuadratureSpec()),
-    "rearrangement": (_rearrangement_loop, REARRANGEMENT_QUAD),
 }
 
 
@@ -239,12 +225,11 @@ class TestMomentumBounds:
             assert lhs > mid
 
 
-def shifted_envelope_integral(vnorm, k, params, quad, rhs):
+def shifted_envelope_lhs(vnorm, k, params):
     """The left side of verify_rearrangement for one shift |v| and one
     kernel point."""
-    ranges = _radial_ranges(vnorm, k, params, quad, rhs)
-    return float(_shifted_envelope_integrals(
-        *np.atleast_1d(vnorm, *ranges), quad)[0])
+    args = (vnorm, a_scale(k, params), params.mass_ratio + 1.0 - k.u, k.lam)
+    return float(_shifted_envelope_lhs(*np.atleast_1d(*args))[0])
 
 
 class TestRearrangement:
@@ -257,26 +242,22 @@ class TestRearrangement:
         # at v = 0 the gap is the inner-disk mass (pi/lam) int_0^lam f,
         # i.e. pi log(1 + lam/A) / (2 (M+1-u)^2 lam)
         k = KernelPoint(u=0.3, tau=0.5, psq=2.0, mu=-1.0, lam=1.5)
-        quad = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14,
-                              max_subdivisions=400)
         rhs = envelope_cutoff_integral(k, params_m2)
-        lhs = shifted_envelope_integral(0.0, k, params_m2, quad, rhs)
-        from polaron2d import a_scale
+        lhs = shifted_envelope_lhs(0.0, k, params_m2)
         A = a_scale(k, params_m2)
         ku = params_m2.mass_ratio + 1 - k.u
         gap_expected = math.pi * math.log1p(k.lam / A) / (2 * ku * ku * k.lam)
-        assert rhs - lhs == pytest.approx(gap_expected, rel=1e-8)
+        assert rhs - lhs == pytest.approx(gap_expected, rel=1e-13)
         assert lhs <= rhs
 
     def test_large_shift_has_wide_margin(self, params_m2):
         k = KernelPoint(u=0.2, tau=1.0, psq=4.0, mu=-1.0, lam=1.0)
-        quad = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
-                              max_subdivisions=400)
         rhs = envelope_cutoff_integral(k, params_m2)
-        lhs = shifted_envelope_integral(1e3, k, params_m2, quad, rhs)
+        lhs = shifted_envelope_lhs(1e3, k, params_m2)
         assert lhs < 0.1 * rhs
 
     def test_circle_integral_matches_quadrature(self, rng):
+        # the angular closed form inside the radial oracle, against scipy
         for _ in range(30):
             M = float(rng.uniform(0.2, 50.0))
             pars = ModelParams(M, -1.0)
@@ -290,9 +271,39 @@ class TestRearrangement:
             v = (vmag * math.cos(ang), vmag * math.sin(ang))
             A = a_scale(k, pars)
             for r in (1e-3, 0.5, vmag, 3.0, 1e3):
-                got = _envelope_circle_integral(r, vmag, A, M + 1.0 - k.u)
+                got = envelope_circle_integral(r, vmag, A, M + 1.0 - k.u)
                 want = envelope_circle_quad(r, v, k, pars)
                 assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_closed_form_matches_radial_quadrature(self, seed):
+        # every sample of the suite's draw against the adaptive radial
+        # rule, which integrates to 1e-10 relative
+        rhs, vnorm, A, ku, lam = _rearrangement_constants(500, seed)
+        got = _shifted_envelope_lhs(vnorm, A, ku, lam)
+        want = [shifted_envelope_quad(*row, REARRANGEMENT_QUAD)
+                for row in zip(vnorm, A, ku, lam, rhs)]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("vnorm, A, ku, lam", [
+        (0.0, 1.3, 2.5, 1.5),
+        (1e-6, 1.3, 2.5, 1.5),
+        (1e3, 1.3, 2.5, 1.5),
+        (0.1, 0.5, 2.0, 1e6),
+        (3.0, 0.1, 2.0, 50.0),
+        (3.0, 0.1, 2.0, 0.5),
+    ], ids=["v0", "v1e-6", "v1e3", "lam>>S", "X<0", "X>=0"])
+    def test_closed_form_matches_mpmath(self, vnorm, A, ku, lam, request):
+        # S = A + |v|^2 and X = S^2 + (3A - |v|^2) lam pick the form of
+        # S sqrt(P) + X; each id names the regime its point is in
+        S = A + vnorm ** 2
+        X = S * S + (3.0 * A - vnorm ** 2) * lam
+        regime = request.node.callspec.id
+        assert (X < 0.0) == (regime == "X<0")
+        assert regime != "lam>>S" or lam > 1e5 * S
+        got = _shifted_envelope_lhs(*np.atleast_1d(vnorm, A, ku, lam))[0]
+        assert got == pytest.approx(shifted_envelope_mpmath(vnorm, A, ku, lam),
+                                    rel=1e-14, abs=0)
 
     def test_uncapped_sample_count(self):
         report = run_suite("inequalities", samples=2500, seed=2)
@@ -300,23 +311,14 @@ class TestRearrangement:
         assert row.samples_run == 2500
         assert row.passed
 
-    def test_radial_cost_of_one_sample(self, params_m2, lockstep_runs):
-        # one first pass plus at most one lockstep round at an unshifted
-        # point; more calls mean the radial rule regressed
-        k = KernelPoint(u=0.3, tau=0.5, psq=2.0, mu=-1.0, lam=1.5)
-        quad = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
-                              max_subdivisions=400)
-        rhs = envelope_cutoff_integral(k, params_m2)
-        lhs = shifted_envelope_integral(0.0, k, params_m2, quad, rhs)
-        assert 0.0 < lhs < rhs
-        (run,) = lockstep_runs
-        assert run["rows"] == 1
-        assert 1 <= run["calls"] <= 2
+    def test_no_quadrature(self, quadrature_calls):
+        assert verify_rearrangement(10000, 3).passed
+        assert quadrature_calls == []
 
 
 class TestLockstep:
-    """The tail, disk and rearrangement cases integrate their samples in
-    lockstep chunks; each must equal its per-sample loop."""
+    """The tail and disk cases integrate their samples in lockstep chunks;
+    each must equal its per-sample loop."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("case", sorted(CASE_LOOPS))
@@ -346,8 +348,7 @@ class TestLockstep:
         assert run["calls"] < run["rows"]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("case", ["rearrangement",
-                                      "resolvent_tail_integral"])
+    @pytest.mark.parametrize("case", ["resolvent_tail_integral"])
     def test_error_of_the_first_failing_sample(self, case, seed):
         loop, _ = CASE_LOOPS[case]
         quad = QuadratureSpec(max_subdivisions=1)
@@ -486,28 +487,30 @@ class TestCallsCorefuncs:
         assert not scaled(0.5).passed
 
     def test_rearrangement_constants_equal_scalar_calls(self, monkeypatch):
-        # the right side and the radial ranges of every sample, bit for bit
-        # against the per-sample loop of scalar corefuncs calls
+        # the right side and the arguments of the left side of every
+        # sample, bit for bit against the per-sample loop of scalar
+        # corefuncs calls
         got = {}
         real_rhs = verify.envelope_cutoff_integral
-        real_integrals = verify._shifted_envelope_integrals
+        real_lhs = verify._shifted_envelope_lhs
 
         def rhs(k, p):
             got["rhs"] = real_rhs(k, p)
             return got["rhs"]
 
-        def integrals(*args):
-            got["ranges"] = args[:-1]
-            return real_integrals(*args)
+        def lhs(*args):
+            got["args"] = args
+            return real_lhs(*args)
 
         monkeypatch.setattr(verify, "envelope_cutoff_integral", rhs)
-        monkeypatch.setattr(verify, "_shifted_envelope_integrals", integrals)
+        monkeypatch.setattr(verify, "_shifted_envelope_lhs", lhs)
         # enough samples to meet inputs where numpy's SIMD log or hypot
         # differs from the math module's in the last bit
         verify._case_rearrangement(10000, 3, 1e-8, None)
-        want = _rearrangement_constants(10000, 3, REARRANGEMENT_QUAD)
+        want = _rearrangement_constants(10000, 3)
         np.testing.assert_array_equal(got["rhs"], want[0])
-        for g, w in zip(got["ranges"], want[1:]):
+        assert len(got["args"]) == 4
+        for g, w in zip(got["args"], want[1:]):
             np.testing.assert_array_equal(g, w)
 
 
