@@ -2,12 +2,13 @@
 
 Every integral the package does not have in closed form goes through the
 one algorithm here, ``lockstep_gk15``: worst-panel bisection of GK15
-panels, run for many integrands over one interval at once.  The C
-estimate calls it for every radial integral (``cconstant._inner_rows``:
-the grid scan, the Nelder-Mead refinement and the one-row
-``inner_integral``).  ``lockstep_intervals`` gives each row its own
-interval, for the tail and disk checks of ``verify``; the rearrangement
-check and the angular integrals of the C estimate are closed forms.
+panels, run for many integrands over one interval at once, each row with
+the bits of its one-row run.  The C estimate calls it for every radial
+integral (``cconstant._inner_rows``: the grid scan, the Nelder-Mead
+refinement and the one-row ``inner_integral``).  ``lockstep_intervals``
+gives each row its own interval, for the tail and disk checks of
+``verify``; the rearrangement check and the angular integrals of the C
+estimate are closed forms.
 ``adaptive_gk15``, the one-row call, and ``arc_adaptive_batch``,
 ``lockstep_intervals`` on (m, k) arrays, have no production caller: the
 benchmark tracer in perfbench/ resolves both by name, and the tests use
@@ -81,10 +82,13 @@ def _budget_error(a: float, b: float, total_err: float,
 
 def _gk15(y, half):
     """Kronrod values, error estimates and |f| integrals of GK15 panels
-    whose 15 node values lie along the last axis of ``y``."""
-    ik = half * (y @ _WK)
-    err = np.abs(ik - half * (y[..., 1::2] @ _WG))
-    resabs = half * (np.abs(y) @ _WK)
+    whose 15 node values lie along the last axis of ``y``.  einsum
+    (without ``optimize``, so never BLAS) sums every panel in one order:
+    a panel's sums do not depend on the number or position of the others.
+    """
+    ik = half * np.einsum("...j,j->...", y, _WK)
+    err = np.abs(ik - half * np.einsum("...j,j->...", y[..., 1::2], _WG))
+    resabs = half * np.einsum("...j,j->...", np.abs(y), _WK)
     return ik, err, resabs
 
 
@@ -132,10 +136,9 @@ def lockstep_gk15(f, n: int, a: float, b: float, rel_tol: float,
     to right, then the two halves of each bisected panel), so ties go to
     the oldest panel.  After ``max_subdivisions`` bisections it fails.
     One call of ``f`` evaluates the first pass of all integrands, then
-    one per round both halves (30 points) of every unconverged one.  The
-    panel sums of a round are one matrix product, and BLAS may sum a row
-    in an order that depends on its position, so a row agrees with its
-    one-row run to the last bits.
+    one per round both halves (30 points) of every unconverged one.  A
+    row's panel sums do not depend on the other rows (:func:`_gk15`), so
+    every row equals its one-row run bit for bit.
 
     The state lives in numpy arrays: the running totals, and a panel
     store with one row per unconverged integrand and one column per panel
@@ -197,16 +200,6 @@ def lockstep_gk15(f, n: int, a: float, b: float, rel_tol: float,
     return total, failures
 
 
-# Rows per lockstep_gk15 call of lockstep_intervals.  A batch shares its
-# integrand calls: the tail and disk verification cases together took 71-75,
-# 47-52, 29-30, 16-20 and 18 ms at 32, 64, 128, 256 and 512 rows (500
-# samples, seeds 1-3, medians of 21 runs), and 0.53, 0.31, 0.18, 0.12 and
-# 0.10 s at 10000 samples (one core of a 2-core x86-64 host).  Larger chunks
-# are faster, but a row's last bits depend on its batch (the BLAS order of
-# the panel sums), and 128 rows keep the bits of every verify report.
-_ROW_CHUNK = 128
-
-
 def lockstep_intervals(f, lo, hi, rel_tol: float, abs_tol: float,
                        max_subdivisions: int = 200) -> np.ndarray:
     """Integral of integrand i over [lo[i], hi[i]], for every i.
@@ -214,28 +207,23 @@ def lockstep_intervals(f, lo, hi, rel_tol: float, abs_tol: float,
     ``f(x, rows)`` evaluates the integrands ``rows`` at the abscissae
     ``x``, one row of ``x`` per integrand.  Each interval is mapped
     affinely onto [0, 1] (x = lo + (hi - lo) s, the integrand times
-    hi - lo), and fixed chunks of _ROW_CHUNK integrands run in lockstep
-    (:func:`lockstep_gk15`).  Fails as a loop of :func:`adaptive_gk15`
-    calls would: the error of the first failing integrand is raised, with
-    its own interval in the message.
+    hi - lo), and all integrands run in one :func:`lockstep_gk15` batch,
+    each with the bits of its one-row call.  Fails as a loop of
+    :func:`adaptive_gk15` calls would: the error of the first failing
+    integrand is raised, with its own interval in the message.
     """
     width = hi - lo
-    values = np.empty(len(lo))
-    for start in range(0, len(lo), _ROW_CHUNK):
-        chunk = np.arange(start, min(start + _ROW_CHUNK, len(lo)))
 
-        def mapped(s, rows):
-            i = chunk[rows]
-            w = width[i, None]
-            return w * f(lo[i, None] + w * s, i)
+    def mapped(s, rows):
+        w = width[rows, None]
+        return w * f(lo[rows, None] + w * s, rows)
 
-        values[chunk], failures = lockstep_gk15(
-            mapped, len(chunk), 0.0, 1.0, rel_tol, abs_tol,
-            max_subdivisions)
-        for i, exc in zip(chunk.tolist(), failures):
-            if exc is not None:
-                raise QuadratureError(str(exc).replace(
-                    "[0.0, 1.0]", f"[{float(lo[i])}, {float(hi[i])}]", 1))
+    values, failures = lockstep_gk15(mapped, len(lo), 0.0, 1.0, rel_tol,
+                                     abs_tol, max_subdivisions)
+    for i, exc in enumerate(failures):
+        if exc is not None:
+            raise QuadratureError(str(exc).replace(
+                "[0.0, 1.0]", f"[{float(lo[i])}, {float(hi[i])}]", 1))
     return values
 
 

@@ -206,7 +206,7 @@ def _lockstep(descents, batch):
 # M = 2 scan took 0.29, 0.21, 0.16, 0.16 and 0.16 s at 8, 16, 32, 128 and
 # all 1575 rows (one core of a 2-core x86-64 host).  Larger batches only
 # grow the temporaries (peak RSS of the c-constant run: 79.0 MB at 32 rows,
-# 80.2 MB with the whole mesh).
+# 80.2 MB with the whole mesh).  The size moves speed and RSS, not bits.
 _GRID_CHUNK = 32
 
 # estimate_C warns when its last refinement level still raised C by more
@@ -637,9 +637,10 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
     _GRID_CHUNK mesh rows, each integrated in lockstep.  The five descents
     of a level run in lockstep (:func:`_lockstep`): each round evaluates
     their pending trial points, at most five, in one
-    :func:`_objective_rows` call.  Values and errors are those of five
-    sequential :func:`minimize` runs, one trial point per call.  The tail
-    bound at the maximiser comes from one last :func:`inner_integral`.
+    :func:`_objective_rows` call.  No row's value depends on its batch,
+    so values and errors are those of five sequential :func:`minimize`
+    runs, one trial point per call.  The tail bound at the maximiser
+    comes from one last :func:`inner_integral`.
     """
     M = params.mass_ratio
     qmag = cfg.qmag_grid.values()

@@ -146,7 +146,7 @@ def _gamma_row(mass: float, spec: RootFindSpec) -> dict:
         row["alpha_M"] = alpham
         row["gamma"] = solve_gamma(mass, spec, alpham=alpham)
     except (SupercriticalMass, *_NUMERIC_ERRORS) as exc:
-        row["error"] = str(exc)
+        row["error"] = exc
     return row
 
 
@@ -166,11 +166,12 @@ def cmd_gamma(args) -> int:
         row = _gamma_row(args.mass, spec)
         if row["error"]:
             _diag(f"M = {row['M']}: {row['error']}")
-            return EXIT_SUPERCRITICAL
+            supercritical = isinstance(row["error"], SupercriticalMass)
+            return EXIT_SUPERCRITICAL if supercritical else EXIT_NONCONVERGENCE
         rows = [row]
 
     if args.format == "json":
-        _emit_json([{k: r[k] for k in ("M", "gamma", "alpha_M", "error")}
+        _emit_json([{**r, "error": r["error"] and str(r["error"])}
                     for r in rows])
     elif args.format == "csv":
         _emit_csv(["M", "gamma", "alpha_M"],

@@ -398,20 +398,20 @@ def verify_bound_chain(params: ModelParams, lam: float, mu_grid,
 # suite assembly
 
 
-def _case_resolvent_tail(samples, seed, tol, quad):
+def _case_resolvent_tail(samples, seed, tol):
     rng = np.random.default_rng(seed)
     lams = 10.0 ** rng.uniform(-2, 2, samples)
     mus = -(10.0 ** rng.uniform(-2, 2, samples))
-    return verify_tail_integral(lams, mus, quad, tol)
+    return verify_tail_integral(lams, mus, tolerance=tol)
 
 
-def _case_disk_area(samples, seed, tol, quad):
+def _case_disk_area(samples, seed, tol):
     rng = np.random.default_rng(seed)
     lams = 10.0 ** rng.uniform(-2, 2, samples)
-    return verify_disk_area(lams, quad, tol)
+    return verify_disk_area(lams, tolerance=tol)
 
 
-def _case_sigma_minus(samples, seed, tol, quad):
+def _case_sigma_minus(samples, seed, tol):
     rng = np.random.default_rng(seed)
     p = rng.uniform(-_VEC_BOX, _VEC_BOX, (samples, 2))
     q = rng.uniform(-_VEC_BOX, _VEC_BOX, (samples, 2))
@@ -420,19 +420,19 @@ def _case_sigma_minus(samples, seed, tol, quad):
     return verify_sigma_minus(p, q, B, ModelParams(M, -1.0), tol)
 
 
-def _case_momentum_bounds(samples, seed, tol, quad):
+def _case_momentum_bounds(samples, seed, tol):
     return verify_momentum_bounds(samples, seed, tolerance=tol)
 
 
-def _case_u_integral(samples, seed, tol, quad):
+def _case_u_integral(samples, seed, tol):
     return verify_u_integral_bound(samples, seed, tolerance=tol)
 
 
-def _case_rearrangement(samples, seed, tol, quad):
+def _case_rearrangement(samples, seed, tol):
     return verify_rearrangement(samples, seed, tolerance=tol)
 
 
-def _case_lhs_forms(samples, seed, tol, quad):
+def _case_lhs_forms(samples, seed, tol):
     """Both algebraic forms of the bound-equation left side agree."""
     rng = np.random.default_rng(seed)
     m_values = np.geomspace(*_M_BOX, 32)
@@ -459,7 +459,7 @@ def _case_lhs_forms(samples, seed, tol, quad):
                    tol)
 
 
-def _case_lhs_monotone(samples, seed, tol, quad):
+def _case_lhs_monotone(samples, seed, tol):
     """Finite-difference slope of the bound-equation left side in mu is
     negative everywhere on (-inf, E_B]."""
     rng = np.random.default_rng(seed)
@@ -485,7 +485,7 @@ def _case_lhs_monotone(samples, seed, tol, quad):
     return _result("bound_lhs_monotone", total, max(0.0, violation), worst, tol)
 
 
-def _case_alpha_monotone(samples, seed, tol, quad):
+def _case_alpha_monotone(samples, seed, tol):
     """alpha(M) strictly decreasing, M/(M+1) increasing, and their
     difference changes sign exactly once on [0.5, 50]."""
     n = int(min(max(samples, 50), 400))
@@ -507,7 +507,7 @@ def _case_alpha_monotone(samples, seed, tol, quad):
                    tol)
 
 
-def _case_tau_chain(samples, seed, tol, quad):
+def _case_tau_chain(samples, seed, tol):
     violation, worst, total = 0.0, {}, 0
     for M in (1.5, 2.0, 5.0, 20.0):
         pars = ModelParams(M, -1.0)
@@ -553,6 +553,6 @@ def run_suite(suite: str = "all", samples: int = 10000, seed: int = 0,
         if suite != "all" and group != suite:
             continue
         tol = tol_override if tol_override is not None else default_tol
-        rows.append(runner(samples, seed, tol, None))
+        rows.append(runner(samples, seed, tol))
     return VerificationReport(cases=rows,
                               suite_passed=all(r.passed for r in rows))

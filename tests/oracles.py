@@ -12,13 +12,14 @@ in closed form).  The exceptions are the per-point references of two
 lockstep paths, which share the rules they apply with the package so
 that their values can be compared bit for bit.  ``gk15_heap`` is the
 scalar heap loop of worst-panel bisection: it shares the package's GK15
-panel rule and convergence test and keeps its own panel order, in a heap
-where the package keeps an array store.  ``inner_integral_point`` and
-``objective_point`` are the C objective one point at a time: they share
-the radial integrand and run the radial integral by ``gk15_heap``, where
-the package integrates many points as the rows of one batch.
-``tail_bound_point`` is their certified tail bound on plain floats,
-where the package evaluates it on the columns of a batch.
+panel sums (``_quad._gk15``) and convergence test and keeps its own panel
+order, in a heap where the package keeps an array store.
+``inner_integral_point`` and ``objective_point`` are the C objective one
+point at a time: they share the radial integrand and run the radial
+integral by ``gk15_heap``, where the package integrates many points as
+the rows of one batch.  ``tail_bound_point`` is their certified tail
+bound on plain floats, where the package evaluates it on the columns of
+a batch.
 """
 
 from __future__ import annotations
@@ -85,10 +86,8 @@ def _first_pass(f, a: float, b: float, panels: int):
 def _halves(f, lo: float, mid: float, hi: float):
     """GK15 sums of the panels [lo, mid] and [mid, hi], one call of ``f``
     each, as three pairs: Kronrod values, error estimates, |f| integrals.
-
-    The sums of both halves are one product, as in a round of
-    ``lockstep_gk15``, so that a single integrand gets the same bits
-    from both routines.
+    ``_gk15`` sums each panel on its own, so these are the bits a round of
+    ``lockstep_gk15`` gives the same two panels.
     """
     x, half = _nodes(np.array([lo, mid]), np.array([mid, hi]))
     y = np.stack([np.asarray(f(x[0]), dtype=float),

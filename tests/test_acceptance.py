@@ -117,13 +117,13 @@ def test_criterion_4_solver_cross_consistency():
 
 def test_criterion_5_proof_constituents():
     gate = _Gate(5, "proof-constituent verification", 120.0)
-    row = _case_resolvent_tail(100, 11, 1e-10, None)
+    row = _case_resolvent_tail(100, 11, 1e-10)
     assert row.passed and row.max_violation <= 1e-10
-    row = _case_sigma_minus(10_000, 12, 1e-8, None)
+    row = _case_sigma_minus(10_000, 12, 1e-8)
     assert row.passed and row.max_violation <= 1e-8
-    row = _case_momentum_bounds(100_000, 13, 1e-12, None)
+    row = _case_momentum_bounds(100_000, 13, 1e-12)
     assert row.passed and row.max_violation <= 1e-12
-    row = _case_u_integral(100_000, 14, 1e-12, None)
+    row = _case_u_integral(100_000, 14, 1e-12)
     assert row.passed and row.max_violation <= 1e-12
     row = verify_rearrangement(1000, 15, tolerance=1e-8)
     assert row.passed and row.max_violation <= 1e-8

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from polaron2d.cli import main
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "polaron2d", *args],
@@ -231,6 +233,14 @@ class TestGamma:
 
     def test_supercritical_single_exit(self):
         assert run_cli("gamma", "--mass", "1.0").returncode == 2
+
+    @pytest.mark.parametrize("mass, code", [("1.225", 3), ("1.2242", 3),
+                                            ("1.2", 2)])
+    def test_single_mass_solver_failure_exits_3(self, mass, code, capsys):
+        # a numerical failure above the critical mass is not a hypothesis
+        # violation: it exits 3, as bound does on the same failure
+        assert main(["gamma", "--mass", mass]) == code
+        assert f"M = {mass}: " in capsys.readouterr().err
 
     def test_needs_exactly_one_mode(self):
         assert run_cli("gamma").returncode == 1

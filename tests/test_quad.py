@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polaron2d._quad import (QuadratureError, adaptive_gk15,
+from polaron2d._quad import (QuadratureError, _gk15, adaptive_gk15,
                              arc_adaptive_batch, leggauss, lockstep_gk15)
 
 from oracles import gk15_heap
@@ -124,7 +126,7 @@ class TestLockstep:
         for i in range(4):
             want = gk15_heap(lambda x: self.peaked(x, np.array([i]))[0],
                              0.0, 1.0, 1e-11, 1e-14, panels=panels)
-            assert got[i] == pytest.approx(want, rel=1e-15)
+            assert got[i] == want
         # one call for the first pass of all rows, then one per round with
         # the two halves of every unconverged row, fewer rows each time
         assert shapes[0] == (4, 15 * panels)
@@ -205,6 +207,31 @@ class TestLockstep:
                                       1e-12, 1e-14, 400, panels)
         assert failures == [None]
         assert got[0] == gk15_heap(f, -1.0, 1.0, 1e-12, 1e-14, 400, panels)
+
+
+class TestBatchInvariance:
+    """The sums of a GK15 panel depend on its own 15 values alone, not on
+    the number or position of the panels computed with it."""
+
+    @given(n=st.integers(1, 300), panels=st.sampled_from([None, 2, 8]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_every_prefix_and_their_one_row_call(
+            self, n, panels, seed, data):
+        # rows of 15 node values, or of `panels` panels as in a first pass;
+        # magnitudes spread over 16 decades so that sum orders show
+        rng = np.random.default_rng(seed)
+        shape = (n, 15) if panels is None else (n, panels, 15)
+        y = rng.standard_normal(shape) * 10.0 ** rng.uniform(
+            -8.0, 8.0, shape[:-1] + (1,))
+        half = rng.uniform(1e-3, 1.0, shape[:-1])
+        full = _gk15(y, half)
+        for m in range(1, n + 1):
+            for got, want in zip(_gk15(y[:m], half[:m]), full):
+                np.testing.assert_array_equal(got, want[:m])
+        i = data.draw(st.integers(0, n - 1), label="row")
+        for got, want in zip(_gk15(y[i], half[i]), full):
+            np.testing.assert_array_equal(got, want[i])
 
 
 class TestArcBatch:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polaron2d import (KernelPoint, ModelParams, QuadratureError,
                        QuadratureSpec, a_scale, alpha_m, bound_lhs,
@@ -77,10 +79,14 @@ def _tail_loop(samples, seed, quad):
 
 
 def _disk_loop(samples, seed, quad):
+    # theta = lo + w s on s in [0, 1], the affine map of lockstep_intervals
     rng = np.random.default_rng(seed)
     lams = 10.0 ** rng.uniform(-2, 2, samples)
-    return [_scalar(lambda th, lam=lam: 2.0 * lam * np.cos(th) ** 2,
-                    -0.5 * math.pi, 0.5 * math.pi, quad)
+    lo = -0.5 * math.pi
+    w = 0.5 * math.pi - lo
+    return [_scalar(lambda s, lam=lam: w * (2.0 * lam
+                                            * np.cos(lo + w * s) ** 2),
+                    0.0, 1.0, quad)
             for lam in lams.tolist()]
 
 
@@ -317,52 +323,52 @@ class TestRearrangement:
 
 
 class TestLockstep:
-    """The tail and disk cases integrate their samples in lockstep chunks;
-    each must equal its per-sample loop."""
+    """The tail and disk cases integrate all their samples in one lockstep
+    batch; each must equal its per-sample loop bit for bit."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("case", sorted(CASE_LOOPS))
     def test_values_equal_per_sample_loop(self, case, seed, lockstep_runs):
         loop, quad = CASE_LOOPS[case]
         _, tol, runner = verify._CASES[case]
-        row = runner(500, seed, tol, None)
+        row = runner(500, seed, tol)
         want = np.array([val for val, _ in loop(500, seed, quad)])
         (run,) = lockstep_runs
-        np.testing.assert_allclose(run["values"], want, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(run["values"], want)
         assert row.samples_run == run["rows"] == 500
         assert row.passed
 
     @pytest.mark.parametrize("case", sorted(CASE_LOOPS))
     def test_integrand_calls_per_chunk(self, case, lockstep_runs):
-        # a chunk costs one first pass plus one call per lockstep round,
+        # the batch costs one first pass plus one call per lockstep round,
         # and needs no more rounds than its slowest sample; a per-sample
         # loop makes at least one call per sample
         loop, quad = CASE_LOOPS[case]
         _, tol, runner = verify._CASES[case]
-        runner(500, 1, tol, None)
+        runner(500, 1, tol)
         most_rounds = max(rounds for _, rounds in loop(500, 1, quad))
-        chunks = -(-500 // _quad._ROW_CHUNK)
         (run,) = lockstep_runs
         assert run["rows"] == 500
-        assert run["calls"] <= chunks * (1 + most_rounds)
+        assert run["calls"] <= 1 + most_rounds
         assert run["calls"] < run["rows"]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("case", ["resolvent_tail_integral"])
     def test_error_of_the_first_failing_sample(self, case, seed):
         loop, _ = CASE_LOOPS[case]
+        fn, draw, _ = PUBLIC_CASES[case]
         quad = QuadratureSpec(max_subdivisions=1)
         with pytest.raises(QuadratureError) as want:
             loop(500, seed, quad)
         with pytest.raises(QuadratureError) as got:
-            verify._CASES[case][2](500, seed, 1.0, quad)
+            fn(*draw(500, seed), quad, 1.0)
         assert str(got.value) == str(want.value)
 
     def test_disk_converges_on_one_bisection(self):
         # cos^2 needs at most one bisection, so no disk sample fails
         quad = QuadratureSpec(max_subdivisions=1)
         _disk_loop(500, 1, quad)
-        assert verify._case_disk_area(500, 1, 1e-12, quad).passed
+        assert verify_disk_area(*_disk_draw(500, 1), quad).passed
 
 
 # The arguments of the public function behind each array case, drawn as
@@ -402,6 +408,22 @@ PUBLIC_CASES = {
 }
 
 
+def _lockstep_values(fn, *args):
+    """The values of the lockstep_intervals call that fn(*args) makes."""
+    got = []
+    real = verify.lockstep_intervals
+
+    def recording(*a, **k):
+        got.append(real(*a, **k))
+        return got[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "lockstep_intervals", recording)
+        fn(*args)
+    (values,) = got
+    return values
+
+
 class TestPublicArrayCalls:
     """verify_tail_integral, verify_disk_area and verify_sigma_minus take
     per-sample arrays; the suite rows are their calls, and a single input
@@ -412,8 +434,7 @@ class TestPublicArrayCalls:
     def test_suite_row_is_the_public_call(self, case, seed):
         fn, draw, _ = PUBLIC_CASES[case]
         _, tol, runner = verify._CASES[case]
-        assert fn(*draw(500, seed), tolerance=tol) == runner(500, seed, tol,
-                                                             None)
+        assert fn(*draw(500, seed), tolerance=tol) == runner(500, seed, tol)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("case", sorted(PUBLIC_CASES))
@@ -423,20 +444,24 @@ class TestPublicArrayCalls:
         one = one_row(fn, batch.worst_input)
         assert one.samples_run == 1
         assert one.name == batch.name and one.passed == batch.passed
-        if case == "sigma_minus_identity":
-            # elementwise formulas and a per-row Gauss-Legendre sum
-            assert one.worst_input == batch.worst_input
-            assert one.max_violation == batch.max_violation
-            return
-        # a lockstep row depends on its batch position in the last bits
-        # (the BLAS summation order of the panel sums)
-        value = "quadrature" if "quadrature" in one.worst_input else "cubature"
-        for key in one.worst_input:
-            if key != value:
-                assert one.worst_input[key] == batch.worst_input[key]
-        assert one.worst_input[value] == pytest.approx(
-            batch.worst_input[value], rel=1e-14, abs=0)
-        assert abs(one.max_violation - batch.max_violation) <= 1e-14
+        # elementwise formulas, a per-row Gauss-Legendre sum, and lockstep
+        # rows that do not depend on their batch
+        assert one.worst_input == batch.worst_input
+        assert one.max_violation == batch.max_violation
+
+    @pytest.mark.parametrize("case", sorted(CASE_LOOPS))
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_any_lockstep_row_equals_its_one_sample_call(self, case, n,
+                                                         seed):
+        # the integral of every sample, at every position of a batch of
+        # any size, is that of its one-sample call, bit for bit
+        fn, draw, _ = PUBLIC_CASES[case]
+        args = draw(n, seed)
+        batch = _lockstep_values(fn, *args)
+        one = [_lockstep_values(fn, *(a[i] for a in args))[0]
+               for i in range(n)]
+        np.testing.assert_array_equal(one, batch)
 
     @pytest.mark.parametrize("call, match", [
         (lambda: verify_tail_integral([1.0, 2.0], [-1.0, 0.0]),
@@ -457,24 +482,24 @@ class TestCallsCorefuncs:
     report."""
 
     def test_bound_lhs_forms_sees_bound_lhs_alt(self, monkeypatch):
-        assert verify._case_lhs_forms(500, 1, 1e-12, None).passed
+        assert verify._case_lhs_forms(500, 1, 1e-12).passed
         real = verify.bound_lhs_alt
         monkeypatch.setattr(verify, "bound_lhs_alt",
                             lambda *args: real(*args) * (1.0 + 1e-9))
-        row = verify._case_lhs_forms(500, 1, 1e-12, None)
+        row = verify._case_lhs_forms(500, 1, 1e-12)
         assert not row.passed
         assert row.max_violation > 1e-10
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_rearrangement_sees_envelope_cutoff_integral(self, monkeypatch,
                                                          seed):
-        clean = verify._case_rearrangement(500, seed, 1e-8, None)
+        clean = verify._case_rearrangement(500, seed, 1e-8)
         real = verify.envelope_cutoff_integral
 
         def scaled(factor):
             monkeypatch.setattr(verify, "envelope_cutoff_integral",
                                 lambda k, p: real(k, p) * factor)
-            return verify._case_rearrangement(500, seed, 1e-8, None)
+            return verify._case_rearrangement(500, seed, 1e-8)
 
         # the right side moves by the factor; the tightest sample keeps a
         # margin of about 13 %, so this one still passes
@@ -506,7 +531,7 @@ class TestCallsCorefuncs:
         monkeypatch.setattr(verify, "_shifted_envelope_lhs", lhs)
         # enough samples to meet inputs where numpy's SIMD log or hypot
         # differs from the math module's in the last bit
-        verify._case_rearrangement(10000, 3, 1e-8, None)
+        verify._case_rearrangement(10000, 3, 1e-8)
         want = _rearrangement_constants(10000, 3)
         np.testing.assert_array_equal(got["rhs"], want[0])
         assert len(got["args"]) == 4
