@@ -147,8 +147,8 @@ def lockstep_gk15(f, n: int, a: float, b: float, rel_tol: float,
 
     Returns ``(values, failures)``: an (n,) array, and a list holding
     ``None`` for each converged integrand and a QuadratureError naming
-    [a, b] for each other one.  Raising is left to the caller, which may
-    have to order these against its own errors.
+    [a, b] for each other one.  Raising is left to the caller, so that
+    :func:`lockstep_intervals` can name the failing row's own interval.
     """
     failures = [None] * n
     if a == b or n == 0:

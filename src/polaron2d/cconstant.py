@@ -160,7 +160,7 @@ def minimize(fun, x0, *, bounds, initial_simplex, maxfev, xatol, fatol):
     """
     descent = _descent(x0, bounds=bounds, initial_simplex=initial_simplex,
                        maxfev=maxfev, xatol=xatol, fatol=fatol)
-    (result,) = _lockstep([descent], lambda X: ([fun(X[0])], [None]))
+    (result,) = _lockstep([descent], lambda X: [fun(X[0])])
     return result
 
 
@@ -168,16 +168,11 @@ def _lockstep(descents, batch):
     """Run the :func:`_descent` generators together; return their results.
 
     Each round, the pending trial points of the running descents, in
-    start order, go to one call batch(X), which returns a value and an
-    error (an exception or None) per row of X.  The outcome is that of
-    running the descents one after another: a descent whose point fails
-    stops, so does every later descent (which that loop would never have
-    reached), and once the rest have finished the error of the
-    lowest-index failing descent is raised.
+    start order, go to one call batch(X), which returns a value per row
+    of X; an error it raises propagates.
     """
     results = [None] * len(descents)
     points = {}  # start index -> pending trial point
-    failed = None  # error of the lowest-index failing start so far
 
     def advance(i, value):
         try:
@@ -189,15 +184,9 @@ def _lockstep(descents, batch):
         advance(i, None)
     while points:
         starts = sorted(points)
-        values, errors = batch(np.array([points.pop(i) for i in starts]))
-        for i, value, exc in zip(starts, values, errors):
-            if exc is not None:
-                # the descents after i are dropped with their points
-                failed = exc
-                break
+        values = batch(np.array([points.pop(i) for i in starts]))
+        for i, value in zip(starts, values):
             advance(i, value)
-    if failed is not None:
-        raise failed
     return results
 
 
@@ -234,8 +223,6 @@ class GridSpec:
             raise ValueError("log spacing requires lo > 0")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.lo])
         if self.spacing == "log":
             return np.geomspace(self.lo, self.hi, self.count)
         return np.linspace(self.lo, self.hi, self.count)
@@ -264,10 +251,10 @@ class CSearchConfig:
         tail_truncation_rel=1e-2))
 
     def __post_init__(self):
-        if not self.mu < 0:
-            raise ValueError("mu must be negative")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not -math.inf < self.mu < 0:
+            raise ValueError("mu must be negative and finite")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
         if not self.q_mag_max ** 2 > self.lam:
             raise ValueError("q_mag_max**2 must exceed lam")
         if self.pperp_grid.lo < 0:
@@ -401,28 +388,28 @@ def c_integrand(p, q, Q, tau, cfg: CSearchConfig, params: ModelParams):
 
 
 def _tail_bounds(p: np.ndarray, Q: np.ndarray, tau: np.ndarray,
-                 cfg: CSearchConfig, params: ModelParams):
+                 cfg: CSearchConfig, params: ModelParams) -> np.ndarray:
     """:func:`inner_integral_tail_bound` at every row of p and Q (shape
-    (n, 2)) and tau: the bounds, and per row None or the TailBoundExceeded
-    raised there (with bound 0).  ``math.hypot`` and the C library's pow
-    keep the bits of a scalar evaluation."""
+    (n, 2)) and tau; raises for the first degenerate row.  ``math.hypot``
+    and the C library's pow keep the bits of a scalar evaluation."""
     M = params.mass_ratio
     x, y = np.concatenate([_shift(p, Q, M), Q]).T.tolist()
     php, qnorm = np.fromiter(map(math.hypot, x, y), float).reshape(2, -1)
     cnorm = qnorm / (M + 2.0)
     R = cfg.q_mag_max
     fits = R > 2.0 * cnorm
-    # p_hat = 0 gives 0, even where the bound would degenerate; a
-    # degenerate row's gap is taken as infinite, so its bound is 0 as well
-    bad = (php != 0.0) & ~fits
-    errors = [TailBoundExceeded(
-        f"truncation radius {R} is too small for |Q| = {c * (M + 2.0):.3g}; "
-        "the certified tail bound degenerates") if b else None
-        for b, c in zip(bad.tolist(), cnorm.tolist())]
+    # p_hat = 0 gives 0, even where the bound would degenerate: there the
+    # gap is taken as infinite
+    bad = np.flatnonzero((php != 0.0) & ~fits)
+    if len(bad):
+        raise TailBoundExceeded(
+            f"truncation radius {R} is too small for "
+            f"|Q| = {cnorm[bad[0]] * (M + 2.0):.3g}; "
+            "the certified tail bound degenerates")
     w_top = np.sqrt(1.0 + (tau - cfg.mu) / R ** 2)
     w_bot = math.sqrt(math.log1p((R ** 2 - cfg.mu) / cfg.lam))
     gap_sq = np.float_power(np.where(fits, R - cnorm, np.inf), 2)
-    return 2.0 * math.pi * php * w_top / ((M + 2.0) * w_bot * gap_sq), errors
+    return 2.0 * math.pi * php * w_top / ((M + 2.0) * w_bot * gap_sq)
 
 
 def inner_integral_tail_bound(p, Q, tau: float, cfg: CSearchConfig,
@@ -438,12 +425,9 @@ def inner_integral_tail_bound(p, Q, tau: float, cfg: CSearchConfig,
 
     Valid for R > 2|Q|/(M+2).  The one-row call of :func:`_tail_bounds`.
     """
-    (bound,), (error,) = _tail_bounds(
+    return float(_tail_bounds(
         np.array([p], dtype=float), np.array([Q], dtype=float),
-        np.array([tau], dtype=float), cfg, params)
-    if error is not None:
-        raise error
-    return float(bound)
+        np.array([tau], dtype=float), cfg, params)[0])
 
 
 def _angular_kernel(r: np.ndarray, p_hat, c_vec, B,
@@ -533,23 +517,19 @@ def _tail_exceeded(tail: float, val: float, quad: QuadratureSpec):
 
 def _inner_rows(p: np.ndarray, Q: np.ndarray, tau: np.ndarray,
                 cfg: CSearchConfig, params: ModelParams):
-    """:func:`inner_integral` at every row of p and Q (shape (n, 2)) and tau.
-
-    The radial integrals of all rows run in lockstep
-    (:func:`lockstep_gk15`).  Returns the values, the certified tails and,
-    per row, None or the error inner_integral raises there: the first one
-    it meets (degenerate tail, exhausted budget, exceeded tail).  The value
-    of a failed row is meaningless.
+    """:func:`inner_integral` at every row of p and Q (shape (n, 2)) and tau:
+    the values and the certified tails.  The radial integrals of all rows
+    run in lockstep (:func:`lockstep_gk15`).  Each failure raises at the
+    stage that finds it, for the first row that has it.
     """
     M = params.mass_ratio
     quad = cfg.quad
     c_vec = Q / (M + 2.0)
     p_hat = p + c_vec
-    tails, errors = _tail_bounds(p, Q, tau, cfg, params)
+    tails = _tail_bounds(p, Q, tau, cfg, params)
     # rows to integrate; p_hat = 0 gives 0.  The mask is not tails > 0: the
     # bound of a tiny |p_hat| can underflow to 0
-    live = np.flatnonzero(p_hat.any(axis=1)
-                          & np.array([e is None for e in errors], dtype=bool))
+    live = np.flatnonzero(p_hat.any(axis=1))
     # |Q|^2 per row as a dot product, the bits of Q @ Q for one vector (an
     # elementwise sum can differ by 1 ulp and move a value by 3 ulp)
     qsq = (Q[:, None, :] @ Q[:, :, None])[:, 0, 0]
@@ -563,14 +543,16 @@ def _inner_rows(p: np.ndarray, Q: np.ndarray, tau: np.ndarray,
     vals, failures = lockstep_gk15(
         radial, len(live), math.log(cfg.lam), 2.0 * math.log(cfg.q_mag_max),
         quad.rel_tol, quad.abs_tol, quad.max_subdivisions, panels=8)
+    first = next(filter(None, failures), None)
+    if first is not None:
+        raise first
     inner = np.zeros(len(tau))
     inner[live] = vals
-    for i, exc in zip(live.tolist(), failures):
-        errors[i] = exc
-    for i in np.flatnonzero(tails > quad.tail_truncation_rel * inner
-                            + quad.abs_tol).tolist():
-        errors[i] = errors[i] or _tail_exceeded(tails[i], inner[i], quad)
-    return inner, tails, errors
+    over = np.flatnonzero(tails > quad.tail_truncation_rel * inner
+                          + quad.abs_tol)
+    if len(over):
+        raise _tail_exceeded(tails[over[0]], inner[over[0]], quad)
+    return inner, tails
 
 
 def inner_integral(p, Q, tau: float, cfg: CSearchConfig, params: ModelParams,
@@ -587,44 +569,31 @@ def inner_integral(p, Q, tau: float, cfg: CSearchConfig, params: ModelParams,
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    (val,), (tail,), (error,) = _inner_rows(
+    (val,), (tail,) = _inner_rows(
         np.array([p], dtype=float), np.array([Q], dtype=float),
         np.array([tau], dtype=float), cfg, params)
-    if error is not None:
-        raise error
     return (float(val), float(tail)) if _with_tail else float(val)
 
 
 def _objective_rows(chunk: np.ndarray, cfg: CSearchConfig,
-                    params: ModelParams) -> tuple[np.ndarray, list]:
+                    params: ModelParams) -> np.ndarray:
     """weight(tau + p^2) * inner_integral at every row
-    (|Q|, p_par, p_perp, tau) of chunk, with Q on the first axis.
-
-    Returns the values and the per-row errors of :func:`_inner_rows`.
-    """
+    (|Q|, p_par, p_perp, tau) of chunk, with Q on the first axis."""
     q_mag, p_par, p_perp, tau = chunk.T
-    inner, _, errors = _inner_rows(
+    inner, _ = _inner_rows(
         np.column_stack([p_par, p_perp]),
         np.column_stack([q_mag, np.zeros(len(chunk))]), tau, cfg, params)
     psq = p_par * p_par + p_perp * p_perp
-    return weight(tau + psq, cfg.mu, cfg.lam) * inner, errors
+    return weight(tau + psq, cfg.mu, cfg.lam) * inner
 
 
 def _grid_values(mesh: np.ndarray, cfg: CSearchConfig,
                  params: ModelParams) -> np.ndarray:
-    """:func:`_objective_rows` at every mesh row, in chunks of _GRID_CHUNK
-    rows.  Fails as a per-point loop would: the first error in row order
-    is raised."""
-    def chunk_values(chunk):
-        values, errors = _objective_rows(chunk, cfg, params)
-        first = next((exc for exc in errors if exc is not None), None)
-        if first is not None:
-            raise first
-        return values
-
+    """:func:`_objective_rows` at every mesh row, _GRID_CHUNK at a time."""
     chunks = [mesh[i:i + _GRID_CHUNK]
               for i in range(0, len(mesh), _GRID_CHUNK)]
-    return np.concatenate(parallel_map(chunk_values, chunks))
+    return np.concatenate(parallel_map(
+        lambda chunk: _objective_rows(chunk, cfg, params), chunks))
 
 
 def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
@@ -638,9 +607,8 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
     of a level run in lockstep (:func:`_lockstep`): each round evaluates
     their pending trial points, at most five, in one
     :func:`_objective_rows` call.  No row's value depends on its batch,
-    so values and errors are those of five sequential :func:`minimize`
-    runs, one trial point per call.  The tail bound at the maximiser
-    comes from one last :func:`inner_integral`.
+    so the values are those of five sequential :func:`minimize` runs.  The
+    tail bound at the maximiser comes from one last :func:`inner_integral`.
     """
     M = params.mass_ratio
     qmag = cfg.qmag_grid.values()
@@ -662,8 +630,7 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
     def neg_batch(X):
         Z = X.copy()
         Z[:, 3] = [math.exp(t) for t in X[:, 3]]
-        values, errors = _objective_rows(Z, cfg, params)
-        return -values, errors
+        return -_objective_rows(Z, cfg, params)
 
     for level in range(1, cfg.refine_iters + 1):
         shrink = 0.25 ** (level - 1)

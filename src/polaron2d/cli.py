@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import warnings
 
@@ -38,7 +39,14 @@ _NUMERIC_ERRORS = (NonConvergence, BracketFailure, QuadratureError,
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on bad flags; the contract here is 1."""
+    """argparse exits with code 2 on bad flags; the contract here is 1.
+    Its negative-number pattern lacks an exponent, so -1e-3 would be read
+    as an option; this one has it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

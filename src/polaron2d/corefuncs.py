@@ -44,11 +44,12 @@ class ModelParams:
     binding_energy: float
 
     def __post_init__(self):
-        ok_m, ok_eb = self.mass_ratio > 0, self.binding_energy < 0
+        m, eb = self.mass_ratio, self.binding_energy
+        ok_m, ok_eb = (0 < m) & (m < math.inf), (-math.inf < eb) & (eb < 0)
         if ok_m is not True or ok_eb is not True:  # invalid, or arrays
-            _check(ok_m, self.mass_ratio, "mass_ratio must be positive, got {}")
-            _check(ok_eb, self.binding_energy,
-                   "binding_energy must be negative, got {}")
+            _check(ok_m, m, "mass_ratio must be positive and finite, got {}")
+            _check(ok_eb, eb,
+                   "binding_energy must be negative and finite, got {}")
 
 
 @dataclass(frozen=True)

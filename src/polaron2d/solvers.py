@@ -31,6 +31,9 @@ __all__ = [
 _EPS = 7.0 / 3 - 4.0 / 3 - 1.0  # float64 machine epsilon
 _LOG_MAX = math.log(sys.float_info.max)
 _BRACKET_GROWTH = 2.0  # solve_mu widens its bracket by this factor per step
+# the bound ratio grows like exp(alpha/(M/(M+1) - alpha)) towards the
+# critical mass, so the bracket budget must cover the full float range
+_MAX_ITER = 1200
 
 
 class SupercriticalMass(ValueError):
@@ -51,17 +54,12 @@ class RangeError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootFindSpec:
-    # the bound ratio grows like exp(alpha/(M/(M+1) - alpha)) towards the
-    # critical mass, so the bracket budget must cover the full float range
     x_tol: float = 1e-12  # times |E_B| in solve_mu, absolute elsewhere
     f_tol: float = 1e-10
-    max_iter: int = 1200
 
     def __post_init__(self):
         if not (self.x_tol > 0 and self.f_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,7 @@ class BoundResult:
     optimized: bool
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float,
-           x_tol: float, max_iter: int):
+def _brent(f, a: float, b: float, fa: float, fb: float, x_tol: float):
     """Bisection-safeguarded inverse-quadratic/secant root refinement.
 
     [a, b] must bracket a root (fa*fb < 0).  Returns (root, f(root), evals).
@@ -105,7 +102,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float,
     c, fc = a, fa
     e = d = b - a
     evals = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if fb * fc > 0:
             c, fc = a, fa
             e = d = b - a
@@ -141,7 +138,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float,
         b += d if abs(d) > tol else (tol if m > 0 else -tol)
         fb = f(b)
         evals += 1
-    raise NonConvergence(f"root refinement exceeded {max_iter} iterations")
+    raise NonConvergence(f"root refinement exceeded {_MAX_ITER} iterations")
 
 
 def _require_subcritical(mass_ratio: float, alpham: float):
@@ -181,8 +178,8 @@ def solve_mu(params: ModelParams, lam: float,
     the bracket keeps mu < 0, so the inputs are checked once.
     """
     spec = spec or RootFindSpec()
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     if alpham is None:
         alpham = alpha_m(params)
     _require_subcritical(params.mass_ratio, alpham)
@@ -196,7 +193,7 @@ def solve_mu(params: ModelParams, lam: float,
             "left side not negative just below E_B; equation malformed")
     left = eb
     f_left = f_right
-    for _ in range(spec.max_iter):
+    for _ in range(_MAX_ITER):
         if abs(left) > 1e307 / _BRACKET_GROWTH:
             raise BracketFailure(
                 "bound exceeds the floating-point range; the mass ratio is "
@@ -208,10 +205,10 @@ def solve_mu(params: ModelParams, lam: float,
             break
     else:
         raise BracketFailure(
-            f"no sign change within {spec.max_iter} bracket expansions")
+            f"no sign change within {_MAX_ITER} bracket expansions")
 
     root, fres, evals = _brent(f, left, right, f_left, f_right,
-                               spec.x_tol * abs(eb), spec.max_iter)
+                               spec.x_tol * abs(eb))
     iterations += evals
     if abs(fres) > spec.f_tol:
         raise NonConvergence(
@@ -267,7 +264,7 @@ def critical_mass(spec: RootFindSpec | None = None) -> float:
     if not (f_lo > 0.0 > f_hi):
         raise NonConvergence(
             f"bracket [{lo}, {hi}] does not straddle the critical mass")
-    root, fres, _ = _brent(h, lo, hi, f_lo, f_hi, spec.x_tol, spec.max_iter)
+    root, fres, _ = _brent(h, lo, hi, f_lo, f_hi, spec.x_tol)
     if abs(fres) > spec.f_tol:
         raise NonConvergence(
             f"residual {fres:.3e} exceeds f_tol {spec.f_tol:.3e}")
@@ -304,7 +301,7 @@ def optimize_lambda(params: ModelParams, choice: CutoffChoice,
                 - alpham)
 
     lo, hi = math.log(0.25 * alpham * alpham), math.log(4.0 * alpham * alpham)
-    y, _, evals = _brent(h, lo, hi, h(lo), h(hi), spec.x_tol, spec.max_iter)
+    y, _, evals = _brent(h, lo, hi, h(lo), h(hi), spec.x_tol)
     x = math.exp(y)
     t = ((params.mass_ratio + 1.0) / params.mass_ratio
          * (math.sqrt(x) + math.sqrt(x / (1.0 + x))

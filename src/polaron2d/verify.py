@@ -548,6 +548,10 @@ def run_suite(suite: str = "all", samples: int = 10000, seed: int = 0,
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if tol_override is not None and not tol_override >= 0:
+        raise ValueError(f"tol_override must be >= 0, got {tol_override}")
     rows = []
     for name, (group, default_tol, runner) in _CASES.items():
         if suite != "all" and group != suite:

@@ -28,6 +28,14 @@ def rotation(angle):
     return np.array([[c, -s], [s, c]])
 
 
+def failing_stage(exc):
+    """The stage at which inner_integral finds the error exc: the
+    degenerate tail bound, the quadrature budget, the exceeded tail."""
+    if isinstance(exc, QuadratureError):
+        return 1
+    return 0 if "degenerates" in str(exc) else 2
+
+
 @pytest.fixture
 def oracle_cfg():
     # smaller truncation radius keeps the test oracle cheap; the
@@ -266,23 +274,32 @@ class TestInnerIntegral:
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_any_batch_row_equals_its_one_row_call(self, M, n, seed):
-        # every radial row of a lockstep batch, at every position, equals
-        # its one-row call: value and tail bit for bit, error for error
-        # (with tau up to 1e6, about a sixth of the rows exceed the tail
-        # allowance)
+        # every radial row of a lockstep batch of rows that do not fail,
+        # at every position, equals its one-row call: value and tail bit
+        # for bit.  With the failing rows (with tau up to 1e6, about a
+        # sixth of the rows exceed the tail allowance) the batch raises
+        # the one-row error of the first row of the earliest failing stage
         params, cfg = ModelParams(M, -1.0), coarse_config()
         rng = np.random.default_rng(seed)
         p, Q = rng.uniform(-6, 6, (n, 2)), rng.uniform(-6, 6, (n, 2))
         tau = 10.0 ** rng.uniform(-3, 6, n)
-        vals, tails, errors = cconstant._inner_rows(p, Q, tau, cfg, params)
+        alone, errors = [], {}
         for i in range(n):
-            if errors[i] is None:
-                assert inner_integral(p[i], Q[i], float(tau[i]), cfg, params,
-                                      _with_tail=True) == (vals[i], tails[i])
-                continue
-            with pytest.raises(type(errors[i])) as one:
-                inner_integral(p[i], Q[i], float(tau[i]), cfg, params)
-            assert str(one.value) == str(errors[i])
+            try:
+                alone.append(inner_integral(p[i], Q[i], float(tau[i]), cfg,
+                                            params, _with_tail=True))
+            except (TailBoundExceeded, QuadratureError) as exc:
+                errors[i] = exc
+        ok = np.array([i not in errors for i in range(n)])
+        vals, tails = cconstant._inner_rows(p[ok], Q[ok], tau[ok], cfg,
+                                            params)
+        assert list(zip(vals, tails)) == alone
+        if errors:
+            want = min(errors.items(),
+                       key=lambda e: (failing_stage(e[1]), e[0]))[1]
+            with pytest.raises(type(want)) as got:
+                cconstant._inner_rows(p, Q, tau, cfg, params)
+            assert str(got.value) == str(want)
 
     @pytest.mark.parametrize("change, args, error, match", [
         ({}, ((1.0, 0.5), (2.0, 0.0), 1e6), TailBoundExceeded,
@@ -310,9 +327,10 @@ class TestInnerIntegral:
 
     @pytest.mark.parametrize("M", [0.5, 2.0, 5.0])
     def test_tail_bounds_equal_per_point_reference(self, M, rng):
-        # the array tail bound of every row, bit for bit, and the error of
-        # every degenerate row, against the scalar path; rows with
-        # p_hat = 0 give 0 even where the bound degenerates
+        # the array tail bound of every row that does not degenerate, bit
+        # for bit, against the scalar path, and with the degenerate rows
+        # the scalar error of the first one; rows with p_hat = 0 give 0
+        # even where the bound degenerates
         params = ModelParams(M, -1.0)
         cfg = replace(coarse_config(), q_mag_max=60.0)
         n = 2000
@@ -320,20 +338,20 @@ class TestInnerIntegral:
         p = rng.uniform(-40, 40, (n, 2))
         p[::7] = -Q[::7] / (M + 2.0)
         tau = 10.0 ** rng.uniform(-3, 3, n)
-        got, errors = cconstant._tail_bounds(p, Q, tau, cfg, params)
-        kinds = set()
+        ok, want, errors = np.ones(n, dtype=bool), [], []
         for i in range(n):
             try:
-                want = tail_bound_point(p[i], Q[i], tau[i], cfg, params)
+                want.append(tail_bound_point(p[i], Q[i], tau[i], cfg,
+                                             params))
             except TailBoundExceeded as exc:
-                assert str(errors[i]) == str(exc)
-                assert got[i] == 0.0
-                kinds.add("degenerate")
-            else:
-                assert errors[i] is None
-                assert got[i] == want
-                kinds.add("zero" if want == 0.0 else "bound")
-        assert kinds == {"degenerate", "zero", "bound"}
+                ok[i] = False
+                errors.append(exc)
+        got = cconstant._tail_bounds(p[ok], Q[ok], tau[ok], cfg, params)
+        assert got.tolist() == want
+        assert 0.0 in want and max(want) > 0.0 and errors
+        with pytest.raises(TailBoundExceeded) as first:
+            cconstant._tail_bounds(p, Q, tau, cfg, params)
+        assert str(first.value) == str(errors[0])
 
 
 # A 4-D box and two test functions whose minimiser c lies above the box in
@@ -437,8 +455,7 @@ class TestNelderMead:
                        if len(points) > r]
             batches.append(X.copy())
             assert np.array_equal(X, [alone[i][1][r] for i in running])
-            values = [self.CASES[cases[i]][0](x) for i, x in zip(running, X)]
-            return values, [None] * len(X)
+            return [self.CASES[cases[i]][0](x) for i, x in zip(running, X)]
 
         descents = []
         for case in cases:
@@ -470,10 +487,11 @@ class TestNelderMead:
                                xatol=1e-8, fatol=1e-8)
 
 
-def scalar_neg_objective(cfg, params, objective=objective_point):
+def scalar_neg_objective(cfg, params):
     """The refinement's objective, point by point on the scalar path."""
     def neg_obj(x):
-        return -objective((x[0], x[1], x[2], math.exp(x[3])), cfg, params)
+        return -objective_point((x[0], x[1], x[2], math.exp(x[3])), cfg,
+                                params)
     return neg_obj
 
 
@@ -662,20 +680,22 @@ class TestGridScan:
         assert "exceeds allowance" in str(got.value)
 
     @pytest.mark.parametrize("degenerate_first", [True, False])
-    def test_first_error_in_mesh_order(self, params_m2, small_cfg,
-                                       degenerate_first):
-        # |Q| = 600 makes the tail bound degenerate at q_mag_max = 250; the
-        # earlier of the two bad rows decides the error, as in the loop
+    def test_raises_at_the_stage_that_finds_it(self, params_m2, small_cfg,
+                                               degenerate_first):
+        # |Q| = 600 and 700 make the tail bound degenerate at q_mag_max =
+        # 250, which is found before any integral runs; tau = 1e6 exceeds
+        # the tail allowance, found after them.  The first degenerate row
+        # is raised, wherever the exceeded row lies
         cfg = replace(small_cfg, q_mag_max=250.0)
         chunk = grid_mesh(cfg)[:_GRID_CHUNK].copy()
         rows = [(600.0, 1.0, 0.5, 1.0), (2.0, 1.0, 0.5, 1e6)]
         chunk[[5, 20]] = rows if degenerate_first else rows[::-1]
-        want = first_loop_error(chunk, cfg, params_m2)
-        assert isinstance(want, TailBoundExceeded)
-        assert ("degenerates" in str(want)) == degenerate_first
+        chunk[25] = (700.0, 1.0, 0.5, 1.0)
+        with pytest.raises(TailBoundExceeded, match="degenerates") as want:
+            inner_integral((1.0, 0.5), (600.0, 0.0), 1.0, cfg, params_m2)
         with pytest.raises(TailBoundExceeded) as got:
             _grid_values(chunk, cfg, params_m2)
-        assert str(got.value) == str(want)
+        assert str(got.value) == str(want.value)
 
     def test_budget_exhaustion_raises_as_scalar_path(self, params_m2,
                                                      small_cfg):
@@ -690,11 +710,11 @@ class TestGridScan:
 
 
 class TestRefinementErrors:
-    def test_error_of_the_lowest_failing_start(self, params_m2, small_cfg,
-                                               monkeypatch):
-        # start 3 fails at round 10 of level 1 and start 1 at round 30:
-        # run one after another, start 1 fails first, so its error is the
-        # one raised, although the lockstep rounds meet start 3's earlier
+    def test_error_of_the_first_failing_round(self, params_m2, small_cfg,
+                                              monkeypatch):
+        # start 3 fails at round 10 of level 1 and start 1 at round 30: the
+        # lockstep rounds meet start 3's failure first and raise it there,
+        # so no later round runs
         real_rows = cconstant._objective_rows
         rounds = []
 
@@ -711,17 +731,15 @@ class TestRefinementErrors:
         bad = {tuple(rounds[10][3]): "injected: start 3, round 10",
                tuple(rounds[30][1]): "injected: start 1, round 30"}
 
-        def failing_rows(chunk, cfg, params):
-            values, errors = real_rows(chunk, cfg, params)
-            for k, z in enumerate(chunk):
-                if tuple(z) in bad:
-                    errors[k] = TailBoundExceeded(bad[tuple(z)])
-            return values, errors
+        seen = []
 
-        def failing_objective(z, cfg, params):
-            if tuple(z) in bad:
-                raise TailBoundExceeded(bad[tuple(z)])
-            return objective_point(z, cfg, params)
+        def failing_rows(chunk, cfg, params):
+            if len(chunk) <= 5:
+                seen.append(chunk.copy())
+            for z in chunk:
+                if tuple(z) in bad:
+                    raise TailBoundExceeded(bad[tuple(z)])
+            return real_rows(chunk, cfg, params)
 
         monkeypatch.setattr(cconstant, "_objective_rows", failing_rows)
         with warnings.catch_warnings():
@@ -729,15 +747,9 @@ class TestRefinementErrors:
             with pytest.raises(TailBoundExceeded) as got:
                 estimate_C(small_cfg, params_m2)
             row, = scan_C_vs_M([params_m2.mass_ratio], small_cfg)
-            sequential_refinement(
-                monkeypatch, cconstant.minimize,
-                scalar_neg_objective(small_cfg, params_m2, failing_objective))
-            with pytest.raises(TailBoundExceeded) as want:
-                estimate_C(small_cfg, params_m2)
-        assert str(want.value) == "injected: start 1, round 30"
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
-        assert row["error"] == str(want.value) and row["C"] is None
+        assert str(got.value) == "injected: start 3, round 10"
+        assert np.array_equal(seen[10], rounds[10]) and len(seen) == 2 * 11
+        assert row["error"] == str(got.value) and row["C"] is None
 
 
 class TestScan:
@@ -783,6 +795,9 @@ class TestConfigValidation:
             CSearchConfig(pperp_grid=GridSpec(-1.0, 1.0, 3))
         with pytest.raises(ValueError):
             CSearchConfig(tau_grid=GridSpec(1e-3, 1e3, 5, "linear"))
+        for field in ({"mu": -math.inf}, {"lam": math.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                CSearchConfig(**field)
 
     def test_grid_spec(self):
         with pytest.raises(ValueError):
@@ -790,6 +805,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 5, "log")
         assert GridSpec(1.0, 1.0, 1).values().tolist() == [1.0]
+        # one point is lo, for either spacing
+        assert GridSpec(0.3, 7.0, 1).values().tolist() == [0.3]
+        assert GridSpec(0.3, 7.0, 1, "log").values().tolist() == [0.3]
         vals = GridSpec(1.0, 100.0, 3, "log").values()
         assert vals.tolist() == pytest.approx([1.0, 10.0, 100.0])
 

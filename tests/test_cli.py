@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from polaron2d.cli import main
+from polaron2d.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -205,6 +205,20 @@ class TestBound:
         assert run_cli("bound", "--mass", "2.0", "--binding", "-1.0",
                        "--lambda", "-3").returncode == 1
 
+    def test_negative_value_with_exponent(self, capsys):
+        assert main(["bound", "--mass", "2", "--binding", "-1e-3",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["binding_energy"] == -0.001
+
+    @pytest.mark.parametrize("args", [
+        ["--mass", "inf", "--binding", "-1"],
+        ["--mass", "2", "--binding=-inf"],
+        ["--mass", "2", "--binding", "-1", "--lambda", "inf"],
+    ], ids=["mass", "binding", "lambda"])
+    def test_non_finite_input_is_usage_error(self, args, capsys):
+        assert main(["bound", *args]) == 1
+        assert "invalid input" in capsys.readouterr().err
+
 
 class TestGamma:
     def test_single_mass(self):
@@ -291,6 +305,14 @@ class TestVerify:
         failing = [c for c in report["cases"] if not c["passed"]]
         assert failing and all(c["worst_input"] for c in failing)
 
+    def test_samples_must_be_positive(self, capsys):
+        assert main(["verify", "--samples", "0"]) == 1
+        assert "samples" in capsys.readouterr().err
+
+    def test_nan_tolerance_is_usage_error(self, capsys):
+        assert main(["verify", "--samples", "20", "--tol", "nan"]) == 1
+        assert "tol" in capsys.readouterr().err
+
     def test_csv_format(self):
         proc = run_cli("verify", "--suite", "chain", "--samples", "10",
                        "--format", "csv")
@@ -312,6 +334,18 @@ class TestCConstantFlags:
     def test_bad_scan_spec(self):
         assert run_cli("c-constant", "--scan", "nonsense").returncode == 1
         assert run_cli("c-constant", "--scan", "2:1:5").returncode == 1
+
+    def test_negative_value_with_exponent(self):
+        args = build_parser().parse_args(["c-constant", "--mass", "2",
+                                          "--mu", "-2e0"])
+        assert args.mu == -2.0
+
+    @pytest.mark.parametrize("args", [["--mass", "inf"],
+                                      ["--mass", "2", "--mu=-inf"]],
+                             ids=["mass", "mu"])
+    def test_non_finite_input_is_usage_error(self, args, capsys):
+        assert main(["c-constant", *args]) == 1
+        assert "invalid input" in capsys.readouterr().err
 
 
 class TestGlobalContract:

@@ -22,6 +22,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             ModelParams(0.0, -1.0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((math.inf, -1.0), "mass_ratio must be positive and finite, got inf"),
+        ((2.0, -math.inf),
+         "binding_energy must be negative and finite, got -inf"),
+        ((np.array([2.0, math.inf, math.nan]), -1.0),
+         "mass_ratio must be positive and finite, got inf"),
+        ((2.0, np.array([-1.0, -2.0, -math.inf])),
+         "binding_energy must be negative and finite, got -inf"),
+    ], ids=["mass", "binding", "mass_array", "binding_array"])
+    def test_model_params_rejects_non_finite(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            ModelParams(*args)
+        assert str(exc.value) == message
+
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)

@@ -69,6 +69,8 @@ class TestSolveMu:
     def test_invalid_cutoff(self, params_m2):
         with pytest.raises(ValueError):
             solve_mu(params_m2, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            solve_mu(params_m2, math.inf)
 
 
 class TestSolveGamma:

@@ -582,6 +582,13 @@ class TestSuiteRunner:
         with pytest.raises(ValueError):
             run_suite("everything")
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"samples": 0}, "samples"), ({"tol_override": math.nan}, "tol"),
+        ({"tol_override": -1e-9}, "tol")], ids=["samples", "nan", "negative"])
+    def test_rejects_bad_arguments(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            run_suite("chain", **kwargs)
+
     def test_group_selection(self):
         report = run_suite("chain", samples=10, seed=0)
         assert [c.name for c in report.cases] == ["tau_chain"]
