@@ -1,11 +1,9 @@
 """Serial map over work items, kept as a named seam.
 
-The package is single-threaded.  ``parallel_map`` stays at its two call
-sites (the gamma scan and the C grid scan) because the benchmark tracer
+The package is single-threaded.  ``parallel_map`` stays at its one call
+site (the gamma scan) because the benchmark tracer
 (``perfbench/tracing.py``, ``Tracer.install``) wraps
-``polaron2d._parallel.parallel_map`` by name.  Its spans count the work
-items and split ``inner_integral`` calls into grid-scan calls and
-refinement calls.
+``polaron2d._parallel.parallel_map`` by name and counts its work items.
 """
 
 from __future__ import annotations

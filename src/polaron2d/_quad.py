@@ -4,11 +4,12 @@ Every integral the package does not have in closed form goes through the
 one algorithm here, ``lockstep_gk15``: worst-panel bisection of GK15
 panels, run for many integrands over one interval at once, each row with
 the bits of its one-row run.  The C estimate calls it for every radial
-integral (``cconstant._inner_rows``: the grid scan, the Nelder-Mead
-refinement and the one-row ``inner_integral``).  ``lockstep_intervals``
-gives each row its own interval, for the tail and disk checks of
-``verify``; the rearrangement check and the angular integrals of the C
-estimate are closed forms.
+integral (``cconstant._inner_rows``: the grid of the searched plane as
+one batch, the lockstep rounds of the Nelder-Mead refinement and the
+one-row ``inner_integral``).  ``lockstep_intervals`` gives each row its
+own interval, for the tail and disk checks of ``verify``; the
+rearrangement check and the angular integrals of the C estimate are
+closed forms.
 ``adaptive_gk15``, the one-row call, and ``arc_adaptive_batch``,
 ``lockstep_intervals`` on (m, k) arrays, have no production caller: the
 benchmark tracer in perfbench/ resolves both by name, and the tests use

@@ -5,8 +5,13 @@ integral.  Comparing C with the prefactor pi/(1+1/M) of the logarithmic
 free term gives an empirical criterion for extending the energy bound to
 mass ratios below the analytic threshold.  By rotational invariance the
 total momentum Q is aligned with the first axis and by reflection symmetry
-the transverse component of p is kept nonnegative, which reduces the
-search to four dimensions: (|Q|, p_par, p_perp, tau).
+the transverse component of p is kept nonnegative, which leaves the four
+coordinates (|Q|, p_par, p_perp, tau).  The search runs on the plane
+p_perp = 0, tau = 0 of these: at every mass tried the maximiser in the
+search box lies on it, and the objective falls quadratically in p_perp
+and linearly in tau off it.  That is a numerical observation, checked by
+the tests against a four-dimensional scan and descent at fixed masses,
+not a theorem.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import parallel_map
 from ._quad import lockstep_gk15
 from .corefuncs import ModelParams, QuadratureSpec
 
@@ -190,14 +194,6 @@ def _lockstep(descents, batch):
     return results
 
 
-# Mesh rows per lockstep batch of the C grid scan.  A batch shares its
-# integrand calls, and 32 rows is where that gain levels off: the coarse
-# M = 2 scan took 0.29, 0.21, 0.16, 0.16 and 0.16 s at 8, 16, 32, 128 and
-# all 1575 rows (one core of a 2-core x86-64 host).  Larger batches only
-# grow the temporaries (peak RSS of the c-constant run: 79.0 MB at 32 rows,
-# 80.2 MB with the whole mesh).  The size moves speed and RSS, not bits.
-_GRID_CHUNK = 32
-
 # estimate_C warns when its last refinement level still raised C by more
 # than this fraction: a moving maximum means the descents have not settled.
 _STABILITY_REL_TOL = 0.02
@@ -235,16 +231,16 @@ class CSearchConfig:
     mu and lam are recorded in every estimate: the construction does not
     single out a canonical evaluation point, so both stay explicit
     configuration.  q_mag_max truncates the momentum integral; the
-    truncation carries a certified closed-form tail bound.
+    truncation carries a certified closed-form tail bound.  qmag_grid and
+    ppar_grid span the searched plane p_perp = 0, tau = 0, and their ends
+    are the bounds of the refinement.
     """
 
     mu: float = -1.0
     lam: float = 1.0
     q_mag_max: float = 1000.0
-    tau_grid: GridSpec = field(default_factory=lambda: GridSpec(1e-3, 1e3, 7, "log"))
     qmag_grid: GridSpec = field(default_factory=lambda: GridSpec(0.0, 8.0, 5))
     ppar_grid: GridSpec = field(default_factory=lambda: GridSpec(-8.0, 8.0, 9))
-    pperp_grid: GridSpec = field(default_factory=lambda: GridSpec(0.0, 8.0, 5))
     refine_iters: int = 2
     quad: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(
         rel_tol=1e-7, abs_tol=1e-13, max_subdivisions=80,
@@ -257,10 +253,6 @@ class CSearchConfig:
             raise ValueError("lam must be positive and finite")
         if not self.q_mag_max ** 2 > self.lam:
             raise ValueError("q_mag_max**2 must exceed lam")
-        if self.pperp_grid.lo < 0:
-            raise ValueError("pperp grid must be confined to >= 0")
-        if self.tau_grid.spacing != "log":
-            raise ValueError("tau grid must be log spaced")
         if self.refine_iters < 0:
             raise ValueError("refine_iters must be >= 0")
 
@@ -270,10 +262,8 @@ def coarse_config(mu: float = -1.0, lam: float = 1.0) -> CSearchConfig:
     s = math.sqrt(max(lam, -mu))
     return CSearchConfig(
         mu=mu, lam=lam, q_mag_max=1000.0 * s,
-        tau_grid=GridSpec(1e-3 * abs(mu), 1e3 * abs(mu), 7, "log"),
         qmag_grid=GridSpec(0.0, 8.0 * s, 5),
         ppar_grid=GridSpec(-8.0 * s, 8.0 * s, 9),
-        pperp_grid=GridSpec(0.0, 8.0 * s, 5),
         refine_iters=2,
     )
 
@@ -283,10 +273,8 @@ def fine_config(mu: float = -1.0, lam: float = 1.0) -> CSearchConfig:
     s = math.sqrt(max(lam, -mu))
     return CSearchConfig(
         mu=mu, lam=lam, q_mag_max=3000.0 * s,
-        tau_grid=GridSpec(1e-3 * abs(mu), 1e3 * abs(mu), 13, "log"),
         qmag_grid=GridSpec(0.0, 8.0 * s, 9),
         ppar_grid=GridSpec(-8.0 * s, 8.0 * s, 17),
-        pperp_grid=GridSpec(0.0, 8.0 * s, 9),
         refine_iters=3,
         quad=QuadratureSpec(rel_tol=1e-9, abs_tol=1e-14,
                             max_subdivisions=160, tail_truncation_rel=1e-3),
@@ -575,70 +563,59 @@ def inner_integral(p, Q, tau: float, cfg: CSearchConfig, params: ModelParams,
     return (float(val), float(tail)) if _with_tail else float(val)
 
 
-def _objective_rows(chunk: np.ndarray, cfg: CSearchConfig,
+def _objective_rows(rows: np.ndarray, cfg: CSearchConfig,
                     params: ModelParams) -> np.ndarray:
     """weight(tau + p^2) * inner_integral at every row
-    (|Q|, p_par, p_perp, tau) of chunk, with Q on the first axis."""
-    q_mag, p_par, p_perp, tau = chunk.T
+    (|Q|, p_par, p_perp, tau) of rows, with Q on the first axis."""
+    q_mag, p_par, p_perp, tau = rows.T
     inner, _ = _inner_rows(
         np.column_stack([p_par, p_perp]),
-        np.column_stack([q_mag, np.zeros(len(chunk))]), tau, cfg, params)
+        np.column_stack([q_mag, np.zeros(len(rows))]), tau, cfg, params)
     psq = p_par * p_par + p_perp * p_perp
     return weight(tau + psq, cfg.mu, cfg.lam) * inner
 
 
-def _grid_values(mesh: np.ndarray, cfg: CSearchConfig,
-                 params: ModelParams) -> np.ndarray:
-    """:func:`_objective_rows` at every mesh row, _GRID_CHUNK at a time."""
-    chunks = [mesh[i:i + _GRID_CHUNK]
-              for i in range(0, len(mesh), _GRID_CHUNK)]
-    return np.concatenate(parallel_map(
-        lambda chunk: _objective_rows(chunk, cfg, params), chunks))
-
-
 def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
-    """Estimate C = sup weight(tau + p^2) * inner_integral over the box.
+    """Estimate C = sup weight(tau + p^2) * inner_integral over the plane
+    p_perp = 0, tau = 0 of the search box (see the module docstring).
 
-    Coarse grid scan over (|Q|, p_par, p_perp, tau) followed by
-    refine_iters levels of simplex descent restarted from the best five
-    points (tau searched in log scale).  The running maximum per level is
-    recorded in refinement_trace.  The grid is evaluated in fixed chunks of
-    _GRID_CHUNK mesh rows, each integrated in lockstep.  The five descents
-    of a level run in lockstep (:func:`_lockstep`): each round evaluates
-    their pending trial points, at most five, in one
-    :func:`_objective_rows` call.  No row's value depends on its batch,
-    so the values are those of five sequential :func:`minimize` runs.  The
-    tail bound at the maximiser comes from one last :func:`inner_integral`.
+    Grid scan over (|Q|, p_par), evaluated as one :func:`_objective_rows`
+    batch, followed by refine_iters levels of simplex descent restarted
+    from the best five points.  The running maximum per level is recorded
+    in refinement_trace.  The five descents of a level run in lockstep
+    (:func:`_lockstep`): each round evaluates their pending trial points,
+    at most five, in one :func:`_objective_rows` call.  No row's value
+    depends on its batch, so the values are those of five sequential
+    :func:`minimize` runs.  The tail bound at the maximiser comes from one
+    last :func:`inner_integral`.  The argmax reports p_perp and tau as 0.
     """
     M = params.mass_ratio
     qmag = cfg.qmag_grid.values()
     ppar = cfg.ppar_grid.values()
-    pperp = cfg.pperp_grid.values()
-    tau = cfg.tau_grid.values()
-    mesh = np.stack(np.meshgrid(qmag, ppar, pperp, tau, indexing="ij"),
-                    axis=-1).reshape(-1, 4)
+    mesh = np.stack(np.meshgrid(qmag, ppar, indexing="ij"),
+                    axis=-1).reshape(-1, 2)
 
-    values = _grid_values(mesh, cfg, params)
+    def plane_rows(X):
+        return _objective_rows(np.column_stack([X, np.zeros((len(X), 2))]),
+                               cfg, params)
+
+    values = plane_rows(mesh)
 
     order = np.argsort(-values, kind="stable")
-    candidates = [(float(values[i]), tuple(mesh[i])) for i in order[:5]]
+    candidates = [(float(values[i]), tuple(mesh[i].tolist()))
+                  for i in order[:5]]
     trace = [(0, candidates[0][0])]
 
-    lo = np.array([qmag[0], ppar[0], pperp[0], math.log(tau[0])])
-    hi = np.array([qmag[-1], ppar[-1], pperp[-1], math.log(tau[-1])])
-
-    def neg_batch(X):
-        Z = X.copy()
-        Z[:, 3] = [math.exp(t) for t in X[:, 3]]
-        return -_objective_rows(Z, cfg, params)
+    lo = np.array([qmag[0], ppar[0]])
+    hi = np.array([qmag[-1], ppar[-1]])
 
     for level in range(1, cfg.refine_iters + 1):
         shrink = 0.25 ** (level - 1)
         descents = []
         for val0, z0 in candidates:
-            x0 = np.array([z0[0], z0[1], z0[2], math.log(z0[3])])
+            x0 = np.array(z0)
             simplex = [x0]
-            for i in range(4):
+            for i in range(2):
                 step = 0.2 * shrink * (hi[i] - lo[i])
                 v = x0.copy()
                 v[i] = v[i] + step if v[i] + step <= hi[i] else v[i] - step
@@ -647,32 +624,25 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
                 x0, bounds=list(zip(lo, hi)),
                 initial_simplex=np.array(simplex), maxfev=200, xatol=1e-8,
                 fatol=1e-14))
-        new_candidates = []
-        for res in _lockstep(descents, neg_batch):
-            x = res.x  # every vertex of the descent lies in the box
-            new_candidates.append(
-                (float(-res.fun), (float(x[0]), float(x[1]), float(x[2]),
-                                   float(math.exp(x[3])))))
+        # every vertex of a descent lies in the box
+        new_candidates = [(float(-res.fun), tuple(res.x.tolist()))
+                          for res in _lockstep(descents,
+                                               lambda X: -plane_rows(X))]
         candidates = sorted(candidates + new_candidates,
                             key=lambda t: -t[0])[:5]
         trace.append((level, candidates[0][0]))
 
-    best_val, best_z = candidates[0]
-    q_best, ppar_best, pperp_best, tau_best = best_z
-    _, tail = inner_integral((ppar_best, pperp_best), (q_best, 0.0), tau_best,
+    best_val, (q_best, ppar_best) = candidates[0]
+    _, tail = inner_integral((ppar_best, 0.0), (q_best, 0.0), 0.0,
                              cfg, params, _with_tail=True)
 
-    # flag maximisers on genuine box boundaries (the lower edges of |Q| and
-    # p_perp are symmetry reductions, not boundaries of the search space)
+    # flag maximisers on genuine box boundaries (the lower edge of |Q| is a
+    # symmetry reduction, not a boundary of the search space)
     edges = []
     span = hi - lo
-    x_best = np.array([q_best, ppar_best, pperp_best, math.log(tau_best)])
-    checks = [("q_mag high", hi[0] - x_best[0], span[0]),
-              ("p_par low", x_best[1] - lo[1], span[1]),
-              ("p_par high", hi[1] - x_best[1], span[1]),
-              ("p_perp high", hi[2] - x_best[2], span[2]),
-              ("tau low", x_best[3] - lo[3], span[3]),
-              ("tau high", hi[3] - x_best[3], span[3])]
+    checks = [("q_mag high", hi[0] - q_best, span[0]),
+              ("p_par low", ppar_best - lo[1], span[1]),
+              ("p_par high", hi[1] - ppar_best, span[1])]
     for name, dist, width in checks:
         if width > 0 and dist < 1e-6 * width:
             edges.append(name)
@@ -691,8 +661,8 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
     prefactor = math.pi / (1.0 + 1.0 / M)
     return CEstimate(
         value=best_val,
-        argmax={"Q_mag": q_best, "p_par": ppar_best, "p_perp": pperp_best,
-                "tau": tau_best},
+        argmax={"Q_mag": q_best, "p_par": ppar_best, "p_perp": 0.0,
+                "tau": 0.0},
         prefactor=prefactor,
         ratio=best_val / prefactor,
         refinement_trace=tuple((int(l), float(v)) for l, v in trace),

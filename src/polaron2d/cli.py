@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 import warnings
@@ -78,6 +79,9 @@ def _diag(msg: str):
 def _scan_masses(scan, spacing: str = "linear"):
     """Mass ratios of a --scan START:STOP:STEPS."""
     start, stop, steps = scan
+    for name, bound in (("start", start), ("stop", stop)):
+        if not math.isfinite(bound):
+            raise ValueError(f"scan {name} must be finite, got {bound}")
     if not start < stop:
         raise ValueError("scan needs start < stop")
     if steps < 2:
@@ -193,7 +197,12 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_critical_mass(args) -> int:
-    spec = RootFindSpec(x_tol=args.tol, f_tol=1e-9)
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+    # |h'| <= 0.65 < 1 on the bracket [1, 1.5] of critical_mass (measured by
+    # finite differences), so a root within x_tol has a residual below
+    # x_tol: a loose --tol must loosen the residual check with it
+    spec = RootFindSpec(x_tol=args.tol, f_tol=max(1e-9, args.tol))
     try:
         m_star = critical_mass(spec)
     except _NUMERIC_ERRORS as exc:

@@ -147,10 +147,8 @@ def test_criterion_6_c_estimator_properties():
     pars = ModelParams(2.0, -1.0)
     cfg = CSearchConfig(
         mu=-1.0, lam=1.0, q_mag_max=400.0,
-        tau_grid=GridSpec(1e-3, 1e3, 5, "log"),
         qmag_grid=GridSpec(0.0, 6.0, 3),
         ppar_grid=GridSpec(-6.0, 6.0, 5),
-        pperp_grid=GridSpec(0.0, 6.0, 3),
         refine_iters=2)
     rng = np.random.default_rng(61)
 

@@ -16,7 +16,7 @@ from polaron2d import (BoundaryMaximizerWarning, CEstimate, CSearchConfig,
                        weight)
 
 from polaron2d import QuadratureError, cconstant
-from polaron2d.cconstant import _GRID_CHUNK, _angular_kernel, _grid_values
+from polaron2d.cconstant import _angular_kernel, _objective_rows
 
 from oracles import (c_integrand_scalar, cartesian_annulus_integral,
                      inner_integral_point, objective_point, scipy_minimize,
@@ -50,10 +50,8 @@ def oracle_cfg():
 def small_cfg():
     return CSearchConfig(
         mu=-1.0, lam=1.0, q_mag_max=400.0,
-        tau_grid=GridSpec(1e-3, 1e3, 4, "log"),
         qmag_grid=GridSpec(0.0, 6.0, 3),
         ppar_grid=GridSpec(-6.0, 6.0, 5),
-        pperp_grid=GridSpec(0.0, 6.0, 3),
         refine_iters=2)
 
 
@@ -488,10 +486,10 @@ class TestNelderMead:
 
 
 def scalar_neg_objective(cfg, params):
-    """The refinement's objective, point by point on the scalar path."""
+    """The refinement's objective on the plane p_perp = 0, tau = 0, point
+    by point on the scalar path."""
     def neg_obj(x):
-        return -objective_point((x[0], x[1], x[2], math.exp(x[3])), cfg,
-                                params)
+        return -objective_point((x[0], x[1], 0.0, 0.0), cfg, params)
     return neg_obj
 
 
@@ -539,20 +537,40 @@ class TestEstimateC:
         assert est.truncation_error_bound >= 0.0
         assert est.mu == small_cfg.mu and est.lam == small_cfg.lam
 
-    def test_dominates_every_grid_point(self, params_m2, small_cfg):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = estimate_C(small_cfg, params_m2)
-        for qm in small_cfg.qmag_grid.values():
-            for pl in small_cfg.ppar_grid.values():
-                for pp in small_cfg.pperp_grid.values():
-                    for tau in small_cfg.tau_grid.values():
-                        psq = pl * pl + pp * pp
-                        obj = (weight(tau + psq, small_cfg.mu, small_cfg.lam)
-                               * inner_integral((pl, pp), (qm, 0.0),
-                                                float(tau), small_cfg,
-                                                params_m2))
-                        assert est.value >= obj - 1e-12 * max(1.0, obj)
+    def test_dominates_every_grid_point(self):
+        # estimate_C searches only the plane p_perp = 0, tau = 0.  That the
+        # maximum over the box lies on it is a numerical observation at
+        # these masses, not a theorem: no point of a 4-D mesh off the plane
+        # beats the estimate, and neither does a 4-D descent started at the
+        # argmax with p_perp and tau free
+        cfg = coarse_config()
+        lo = np.array([0.0, -8.0, 0.0, 0.0])
+        hi = np.array([8.0, 8.0, 8.0, 1e3])
+        for M in (0.25, 0.5, 2.0, 5.0):
+            params = ModelParams(M, -1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est = estimate_C(cfg, params)
+            am = est.argmax
+            assert am["p_perp"] == 0.0 and am["tau"] == 0.0
+            axes = [np.append(np.linspace(0.0, 8.0, 5), am["Q_mag"]),
+                    np.append(np.linspace(-8.0, 8.0, 9), am["p_par"]),
+                    [1e-3, 0.1, 1.0, 4.0, 8.0],
+                    [1e-3, 1e-1, 10.0, 1e3]]
+            mesh = np.stack(np.meshgrid(*axes, indexing="ij"),
+                            axis=-1).reshape(-1, 4)
+            values = _objective_rows(mesh, cfg, params)
+            assert np.all(est.value >= values
+                          - 1e-12 * np.maximum(1.0, values)), M
+
+            x0 = np.array([am["Q_mag"], am["p_par"], 0.0, 0.0])
+            simplex = np.vstack([x0, x0 + 0.05 * np.eye(4)])
+            descent = cconstant._descent(
+                x0, bounds=list(zip(lo, hi)), initial_simplex=simplex,
+                maxfev=200, xatol=1e-10, fatol=1e-15)
+            res, = cconstant._lockstep(
+                [descent], lambda X: -_objective_rows(X, cfg, params))
+            assert -res.fun <= est.value * (1.0 + 1e-12), M
 
     def test_argmax_objective_rotation_invariant(self, params_m2, small_cfg,
                                                  rng):
@@ -593,25 +611,50 @@ class TestEstimateC:
             assert getattr(est, f.name) == getattr(ref, f.name), f.name
 
     def test_coarse_m2_values(self, params_m2):
-        # the values of the scipy refinement this one replaced, bit for bit
-        # (scipy's Nelder-Mead on the scalar objective gives the same bits)
+        # the plane estimate, bit for bit, with no warning: C is 8.0e-5
+        # above the 0.444255852439488 of the 4-D search, whose descents
+        # ran into the tau floor 1e-3 (scipy's Nelder-Mead on the scalar
+        # objective gives the same bits, test_equals_scipy_refinement)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             est = estimate_C(coarse_config(), params_m2)
-        assert est.value == 0.444255852439488
+        assert est.value == 0.4442915743317202
         assert tuple(v for _, v in est.refinement_trace) == (
-            0.42571495134582843, 0.44425585243884136, 0.444255852439488)
+            0.4257328044864369, 0.4442915743317201, 0.4442915743317202)
+        assert est.argmax == {"Q_mag": 0.44662955095189927,
+                              "p_par": -1.6504131454947553,
+                              "p_perp": 0.0, "tau": 0.0}
+
+    def test_descents_stop_on_their_tolerances(self, params_m2,
+                                               monkeypatch):
+        # every 2-D descent of both coarse levels converges under xatol and
+        # fatol before its budget of 200 evaluations
+        results, lockstep = [], cconstant._lockstep
+        monkeypatch.setattr(cconstant, "_lockstep", lambda descents, batch:
+                            record(results, lockstep(descents, batch)))
+        estimate_C(coarse_config(), params_m2)
+        assert len(results) == 2 * 5
+        assert max(res.nfev for res in results) < 200
 
     def test_boundary_maximiser_warns(self, params_m2, small_cfg):
-        # for this mass the objective keeps growing towards the tau floor
-        with pytest.warns(BoundaryMaximizerWarning):
-            estimate_C(small_cfg, params_m2)
+        # the maximiser at p_par = -1.65 lies below this box
+        cfg = replace(small_cfg, ppar_grid=GridSpec(-1.0, 0.0, 5))
+        with pytest.warns(BoundaryMaximizerWarning, match="p_par low"):
+            estimate_C(cfg, params_m2)
 
 
 def grid_mesh(cfg):
-    """The (|Q|, p_par, p_perp, tau) mesh of estimate_C's grid scan."""
-    axes = [cfg.qmag_grid.values(), cfg.ppar_grid.values(),
-            cfg.pperp_grid.values(), cfg.tau_grid.values()]
+    """estimate_C's grid scan: its (|Q|, p_par) plane mesh as objective
+    rows (|Q|, p_par, 0, 0)."""
+    axes = [cfg.qmag_grid.values(), cfg.ppar_grid.values(), [0.0], [0.0]]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+
+
+def objective_mesh(cfg):
+    """Objective rows (|Q|, p_par, p_perp, tau) on the plane grid of cfg
+    and off it: p_perp in {0, 3, 6} and tau in {0, 1e-3, 1, 1e3}."""
+    axes = [cfg.qmag_grid.values(), cfg.ppar_grid.values(), [0.0, 3.0, 6.0],
+            [0.0, 1e-3, 1.0, 1e3]]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
 
 
@@ -626,30 +669,35 @@ def first_loop_error(mesh, cfg, params):
     return None
 
 
-# Most lockstep rounds one chunk of the small-config grid needs at M = 2
-# (chunks need 0, 0, 0, 4, 5 and 4 rounds after the first pass).
+# Most lockstep rounds the small-config plane grid needs at M = 2 after
+# its first pass (it needs 5)
 _SMALL_GRID_MAX_ROUNDS = 5
 
 
 class TestGridScan:
-    """The lockstep grid scan against the per-point loop it replaces."""
+    """The lockstep objective rows against the per-point loop they
+    replace, and the grid scan as one batch of them."""
 
     @pytest.mark.parametrize("M", [0.5, 2.0, 5.0])
     def test_matches_per_point_loop(self, M, small_cfg):
         params = ModelParams(M, -1.0)
-        mesh = grid_mesh(small_cfg)
+        mesh = objective_mesh(small_cfg)
         loop = np.array([objective_point(z, small_cfg, params)
                          for z in mesh])
-        batched = _grid_values(mesh, small_cfg, params)
+        batched = _objective_rows(mesh, small_cfg, params)
         assert np.any(loop == 0.0)  # the mesh holds p_hat = 0 points
         assert np.all((batched == 0.0) == (loop == 0.0))
         assert np.max(np.abs(batched - loop) / np.maximum(loop, 1e-300)) \
             <= 1e-14
+        # the rows include tau = 0, the edge of the domain on which
+        # estimate_C searches
+        assert np.any(loop[mesh[:, 3] == 0.0] > 0.0)
 
-    def test_radial_calls_per_chunk(self, params_m2, small_cfg,
-                                    monkeypatch):
-        # one integrand call for the first pass of a chunk and one per
-        # lockstep round; the per-point loop makes one per point per panel
+    def test_radial_calls_of_the_grid_batch(self, params_m2, small_cfg,
+                                            monkeypatch):
+        # the grid scan is one batch: one integrand call for its first pass
+        # and one per lockstep round; the per-point loop makes one per
+        # point per panel
         calls = []
         real = cconstant._radial
 
@@ -658,24 +706,22 @@ class TestGridScan:
             return real(*args)
 
         monkeypatch.setattr(cconstant, "_radial", counting)
-        mesh = grid_mesh(small_cfg)
-        _grid_values(mesh, small_cfg, params_m2)
-        chunks = -(-len(mesh) // _GRID_CHUNK)
-        assert chunks <= len(calls) <= chunks * (1 + _SMALL_GRID_MAX_ROUNDS)
+        _objective_rows(grid_mesh(small_cfg), small_cfg, params_m2)
+        assert 1 <= len(calls) <= 1 + _SMALL_GRID_MAX_ROUNDS
 
     @pytest.mark.parametrize("at", [0, 13, 31])
     def test_exceeded_tail_raises_as_inner_integral(self, params_m2,
                                                     small_cfg, at):
-        # at q_mag_max = 250 no point of the small mesh exceeds its tail
+        # at q_mag_max = 250 no row of the small mesh exceeds its tail
         # allowance; a row with tau = 1e6 does
         cfg = replace(small_cfg, q_mag_max=250.0)
-        chunk = grid_mesh(cfg)[:_GRID_CHUNK].copy()
-        assert first_loop_error(chunk, cfg, params_m2) is None
-        chunk[at] = (2.0, 1.0, 0.5, 1e6)
+        rows = objective_mesh(cfg)[:32].copy()
+        assert first_loop_error(rows, cfg, params_m2) is None
+        rows[at] = (2.0, 1.0, 0.5, 1e6)
         with pytest.raises(TailBoundExceeded) as want:
             inner_integral((1.0, 0.5), (2.0, 0.0), 1e6, cfg, params_m2)
         with pytest.raises(TailBoundExceeded) as got:
-            _grid_values(chunk, cfg, params_m2)
+            _objective_rows(rows, cfg, params_m2)
         assert str(got.value) == str(want.value)
         assert "exceeds allowance" in str(got.value)
 
@@ -687,14 +733,14 @@ class TestGridScan:
         # the tail allowance, found after them.  The first degenerate row
         # is raised, wherever the exceeded row lies
         cfg = replace(small_cfg, q_mag_max=250.0)
-        chunk = grid_mesh(cfg)[:_GRID_CHUNK].copy()
+        batch = objective_mesh(cfg)[:32].copy()
         rows = [(600.0, 1.0, 0.5, 1.0), (2.0, 1.0, 0.5, 1e6)]
-        chunk[[5, 20]] = rows if degenerate_first else rows[::-1]
-        chunk[25] = (700.0, 1.0, 0.5, 1.0)
+        batch[[5, 20]] = rows if degenerate_first else rows[::-1]
+        batch[25] = (700.0, 1.0, 0.5, 1.0)
         with pytest.raises(TailBoundExceeded, match="degenerates") as want:
             inner_integral((1.0, 0.5), (600.0, 0.0), 1.0, cfg, params_m2)
         with pytest.raises(TailBoundExceeded) as got:
-            _grid_values(chunk, cfg, params_m2)
+            _objective_rows(batch, cfg, params_m2)
         assert str(got.value) == str(want.value)
 
     def test_budget_exhaustion_raises_as_scalar_path(self, params_m2,
@@ -718,10 +764,10 @@ class TestRefinementErrors:
         real_rows = cconstant._objective_rows
         rounds = []
 
-        def recording(chunk, cfg, params):
-            if len(chunk) <= 5:  # a refinement round, not a grid chunk
-                rounds.append(chunk.copy())
-            return real_rows(chunk, cfg, params)
+        def recording(rows, cfg, params):
+            if len(rows) <= 5:  # a refinement round, not the grid scan
+                rounds.append(rows.copy())
+            return real_rows(rows, cfg, params)
 
         monkeypatch.setattr(cconstant, "_objective_rows", recording)
         with warnings.catch_warnings():
@@ -733,13 +779,13 @@ class TestRefinementErrors:
 
         seen = []
 
-        def failing_rows(chunk, cfg, params):
-            if len(chunk) <= 5:
-                seen.append(chunk.copy())
-            for z in chunk:
+        def failing_rows(rows, cfg, params):
+            if len(rows) <= 5:
+                seen.append(rows.copy())
+            for z in rows:
                 if tuple(z) in bad:
                     raise TailBoundExceeded(bad[tuple(z)])
-            return real_rows(chunk, cfg, params)
+            return real_rows(rows, cfg, params)
 
         monkeypatch.setattr(cconstant, "_objective_rows", failing_rows)
         with warnings.catch_warnings():
@@ -755,10 +801,8 @@ class TestRefinementErrors:
 class TestScan:
     def test_rows_positive_and_error_capture(self, small_cfg):
         tiny = replace(small_cfg,
-                       tau_grid=GridSpec(1e-2, 1e2, 3, "log"),
                        qmag_grid=GridSpec(0.0, 4.0, 2),
                        ppar_grid=GridSpec(-4.0, 4.0, 3),
-                       pperp_grid=GridSpec(0.0, 4.0, 2),
                        refine_iters=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -791,10 +835,6 @@ class TestConfigValidation:
             CSearchConfig(lam=-1.0)
         with pytest.raises(ValueError):
             CSearchConfig(q_mag_max=0.5, lam=1.0)
-        with pytest.raises(ValueError):
-            CSearchConfig(pperp_grid=GridSpec(-1.0, 1.0, 3))
-        with pytest.raises(ValueError):
-            CSearchConfig(tau_grid=GridSpec(1e-3, 1e3, 5, "linear"))
         for field in ({"mu": -math.inf}, {"lam": math.inf}):
             with pytest.raises(ValueError, match="finite"):
                 CSearchConfig(**field)
