@@ -7,11 +7,15 @@ mass ratios below the analytic threshold.  By rotational invariance the
 total momentum Q is aligned with the first axis and by reflection symmetry
 the transverse component of p is kept nonnegative, which leaves the four
 coordinates (|Q|, p_par, p_perp, tau).  The search runs on the plane
-p_perp = 0, tau = 0 of these: at every mass tried the maximiser in the
-search box lies on it, and the objective falls quadratically in p_perp
+p_perp = 0, tau = 0 of these: inside the search box the maximiser lies on
+it at every mass tried, and the objective falls quadratically in p_perp
 and linearly in tau off it.  That is a numerical observation, checked by
 the tests against a four-dimensional scan and descent at fixed masses,
-not a theorem.
+not a theorem.  Beyond the box a regime with p against Q and tau growing
+like |Q|^2 can win at small M or lam/|mu|; a probe at the box's |Q| edge
+reports it, and warns.  The estimate is the objective at the best point
+found: a lower bound of the supremum up to quadrature error, with no claim
+that the maximum found is the global one.
 """
 
 from __future__ import annotations
@@ -55,13 +59,9 @@ class _BudgetSpent(Exception):
 
 
 def _descent(x0, *, bounds, initial_simplex, maxfev, xatol, fatol):
-    """Bounded Nelder-Mead descent, as a generator: the algorithm of
-    :func:`minimize` with the objective left outside.
-
-    It yields each trial point (a fresh copy), must be sent that point's
-    value before it yields the next one, and returns the SimplexResult.
-    Input errors are raised by the first ``next``.
-    """
+    """:func:`minimize` as a generator: it yields each trial point (a fresh
+    copy), must be sent that point's value before it yields the next one,
+    and returns the SimplexResult.  The first ``next`` checks the input."""
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     lo, hi = (np.array(b, dtype=float) for b in zip(*bounds))
     sim = np.array(initial_simplex, dtype=float)
@@ -136,67 +136,73 @@ def _descent(x0, *, bounds, initial_simplex, maxfev, xatol, fatol):
 
 
 def minimize(fun, x0, *, bounds, initial_simplex, maxfev, xatol, fatol):
-    """Minimise the scalar function fun by bounded Nelder-Mead descent.
-
-    The standard simplex method (Lagarias, Reeds, Wright & Wright, SIAM J.
-    Optim. 9 (1998)) with reflection, expansion, contraction and shrink
-    coefficients rho = 1, chi = 2, psi = 1/2, sigma = 1/2.  bounds is a
-    sequence of (lo, hi) pairs, one per coordinate.  Vertices of
-    initial_simplex above hi are first reflected into the box (2 hi - x),
-    then the simplex is clipped to [lo, hi], and so is every trial point:
-    reflection, expansion, both contractions and the shrink.  fun is never
-    called more than maxfev times, even when the budget runs out in the
-    middle of the first evaluations or of a shrink step.  The descent stops
-    there, or once every vertex lies within xatol of the best one and every
-    value within fatol of the best value.  x0 must be the length of a
-    vertex; the descent starts from initial_simplex.
-
-    This reproduces scipy.optimize.minimize(method="Nelder-Mead",
-    adaptive=False) with the same bounds and options operation for
-    operation, down to sorting the vertices with np.argsort (not a stable
-    sort) where scipy does, so that the C estimate and its refinement
-    trace stay bit-identical to the scipy implementation it replaces,
-    without loading scipy at run time.  The tests hold it to scipy.
-
-    It is the one-start call of :func:`_lockstep`, which
-    :func:`estimate_C` uses to run several descents at once; exceptions
-    raised by fun propagate unchanged.
-    """
+    """Minimise fun by bounded Nelder-Mead descent, operation for operation
+    as scipy.optimize.minimize(method="Nelder-Mead") with the same bounds,
+    initial_simplex, maxfev, xatol and fatol (the tests hold the two to
+    each other).  No production code calls it: the benchmark harness
+    traces it by name."""
     descent = _descent(x0, bounds=bounds, initial_simplex=initial_simplex,
                        maxfev=maxfev, xatol=xatol, fatol=fatol)
-    (result,) = _lockstep([descent], lambda X: [fun(X[0])])
-    return result
+    value = None
+    try:
+        while True:
+            value = fun(descent.send(value))
+    except StopIteration as stop:
+        return stop.value
 
 
-def _lockstep(descents, batch):
-    """Run the :func:`_descent` generators together; return their results.
-
-    Each round, the pending trial points of the running descents, in
-    start order, go to one call batch(X), which returns a value per row
-    of X; an error it raises propagates.
-    """
-    results = [None] * len(descents)
-    points = {}  # start index -> pending trial point
-
-    def advance(i, value):
-        try:
-            points[i] = descents[i].send(value)
-        except StopIteration as stop:
-            results[i] = stop.value
-
-    for i in range(len(descents)):
-        advance(i, None)
-    while points:
-        starts = sorted(points)
-        values = batch(np.array([points.pop(i) for i in starts]))
-        for i, value in zip(starts, values):
-            advance(i, value)
-    return results
+# The Newton refinement of estimate_C: the stencil step h, absolute in the
+# plane coordinates; the most rounds it runs; the predicted gain, relative
+# to the value, below which a start has converged.  A step shorter than h**2,
+# the stencil's resolution of the maximiser, no longer moves a start.
+_STENCIL_H = 1e-3
+_MAX_ROUNDS = 40
+_GAIN_RTOL = 1e-15
+# centre, +-e1, +-e2, (+,+) and (-,-)
+_STENCIL = _STENCIL_H * np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1],
+                                  [1, 1], [-1, -1]], dtype=float)
 
 
-# estimate_C warns when its last refinement level still raised C by more
-# than this fraction: a moving maximum means the descents have not settled.
-_STABILITY_REL_TOL = 0.02
+class _Start:
+    """One start of the Newton refinement: its best point x and value fx,
+    the stencil gradient g and Hessian H there, its trust radius and its
+    pending trial point."""
+
+    def __init__(self, x, radius):
+        self.x = self.trial = x
+        self.fx, self.radius, self.active = -math.inf, radius, True
+
+    def update(self, f, lo, hi):
+        """Take the stencil values f at the trial point; set the next trial
+        point, or retire the start."""
+        f0, fxp, fxm, fyp, fym, fpp, fmm = f
+        if f0 > self.fx:  # central differences at the new best point
+            hxy = 0.5 * (fpp + fmm - fxp - fxm - fyp - fym + 2.0 * f0)
+            self.H = np.array([[fxp - 2.0 * f0 + fxm, hxy],
+                               [hxy, fyp - 2.0 * f0 + fym]]) / _STENCIL_H ** 2
+            self.g = np.array([fxp - fxm, fyp - fym]) / (2.0 * _STENCIL_H)
+            self.x, self.fx = self.trial, f0
+        else:
+            self.radius = 0.25 * np.hypot(*(self.trial - self.x))
+        # a coordinate on a box edge whose gradient points out stays put.
+        # On the others: Newton where the Hessian is negative definite,
+        # else its eigenvalues shifted down until the step fits the radius
+        x, g = self.x, self.g
+        free = ~(((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0)))
+        e, V = np.linalg.eigh(self.H[np.ix_(free, free)])
+        gt = V.T @ g[free]
+        concave = len(e) > 0 and e.max() < 0.0
+        shift = 0.0 if concave else np.max(e, initial=0.0) + (
+            np.linalg.norm(gt) / self.radius)
+        step = np.zeros(2)
+        step[free] = V @ np.divide(gt, shift - e, out=np.zeros(len(e)),
+                                   where=shift > e)
+        step *= min(1.0, self.radius / max(np.hypot(*step), 1e-300))
+        self.trial = np.clip(x + step, lo, hi)
+        step = self.trial - x
+        gain = g @ step + 0.5 * step @ self.H @ step
+        self.active = np.hypot(*step) > _STENCIL_H ** 2 and not (
+            concave and gain <= _GAIN_RTOL * abs(self.fx))
 
 
 @dataclass(frozen=True)
@@ -231,9 +237,10 @@ class CSearchConfig:
     mu and lam are recorded in every estimate: the construction does not
     single out a canonical evaluation point, so both stay explicit
     configuration.  q_mag_max truncates the momentum integral; the
-    truncation carries a certified closed-form tail bound.  qmag_grid and
-    ppar_grid span the searched plane p_perp = 0, tau = 0, and their ends
-    are the bounds of the refinement.
+    truncation carries a certified closed-form tail bound, and q_mag_max**4
+    must be finite.  qmag_grid and ppar_grid span the searched plane
+    p_perp = 0, tau = 0: their mesh is the grid scan, their ends bound the
+    Newton refinement, and the large-momentum probe sits at their |Q| end.
     """
 
     mu: float = -1.0
@@ -241,7 +248,6 @@ class CSearchConfig:
     q_mag_max: float = 1000.0
     qmag_grid: GridSpec = field(default_factory=lambda: GridSpec(0.0, 8.0, 5))
     ppar_grid: GridSpec = field(default_factory=lambda: GridSpec(-8.0, 8.0, 9))
-    refine_iters: int = 2
     quad: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(
         rel_tol=1e-7, abs_tol=1e-13, max_subdivisions=80,
         tail_truncation_rel=1e-2))
@@ -251,10 +257,13 @@ class CSearchConfig:
             raise ValueError("mu must be negative and finite")
         if not 0 < self.lam < math.inf:
             raise ValueError("lam must be positive and finite")
-        if not self.q_mag_max ** 2 > self.lam:
+        q_sq = self.q_mag_max * self.q_mag_max  # ** raises on overflow
+        if not math.isfinite(q_sq * q_sq):  # _angular_kernel squares it
+            raise ValueError(f"q_mag_max**4 must be finite, got q_mag_max = "
+                             f"{self.q_mag_max:.3g} at lam = {self.lam:.3g}, "
+                             f"mu = {self.mu:.3g}")
+        if not q_sq > self.lam:
             raise ValueError("q_mag_max**2 must exceed lam")
-        if self.refine_iters < 0:
-            raise ValueError("refine_iters must be >= 0")
 
 
 def coarse_config(mu: float = -1.0, lam: float = 1.0) -> CSearchConfig:
@@ -264,18 +273,16 @@ def coarse_config(mu: float = -1.0, lam: float = 1.0) -> CSearchConfig:
         mu=mu, lam=lam, q_mag_max=1000.0 * s,
         qmag_grid=GridSpec(0.0, 8.0 * s, 5),
         ppar_grid=GridSpec(-8.0 * s, 8.0 * s, 9),
-        refine_iters=2,
     )
 
 
 def fine_config(mu: float = -1.0, lam: float = 1.0) -> CSearchConfig:
-    """Denser grids, larger truncation radius, one extra refinement round."""
+    """Denser grids, a larger truncation radius and a tighter quadrature."""
     s = math.sqrt(max(lam, -mu))
     return CSearchConfig(
         mu=mu, lam=lam, q_mag_max=3000.0 * s,
         qmag_grid=GridSpec(0.0, 8.0 * s, 9),
         ppar_grid=GridSpec(-8.0 * s, 8.0 * s, 17),
-        refine_iters=3,
         quad=QuadratureSpec(rel_tol=1e-9, abs_tol=1e-14,
                             max_subdivisions=160, tail_truncation_rel=1e-3),
     )
@@ -285,9 +292,10 @@ def fine_config(mu: float = -1.0, lam: float = 1.0) -> CSearchConfig:
 class CEstimate:
     """Result of the supremum search.
 
-    refinement_trace holds the running maximum per refinement level and is
-    nondecreasing by construction.  truncation_error_bound is the certified
-    tail bound of the momentum integral at the maximiser.
+    refinement_trace holds the best value after the grid scan (round 0)
+    and after each Newton round; it is nondecreasing by construction.
+    truncation_error_bound is the certified tail bound of the momentum
+    integral at the maximiser.
     """
 
     value: float
@@ -575,19 +583,41 @@ def _objective_rows(rows: np.ndarray, cfg: CSearchConfig,
     return weight(tau + psq, cfg.mu, cfg.lam) * inner
 
 
+def _refine(points, objective, lo, hi):
+    """Batched trust-region Newton rounds from each of points, rows of
+    (|Q|, p_par) in the box [lo, hi]: each round evaluates the stencil of
+    every active start at its trial point in one call objective(X).  A
+    start within h of a better start's point retires.  Returns the
+    :class:`_Start` objects and the best value after each round."""
+    starts = [_Start(x, 0.2 * np.hypot(*(hi - lo))) for x in points]
+    best = []
+    for _ in range(_MAX_ROUNDS):
+        active = [start for start in starts if start.active]
+        if not active:
+            break
+        values = objective(np.concatenate(
+            [start.trial + _STENCIL for start in active]))
+        for start, f in zip(active, values.reshape(len(active), -1)):
+            start.update(f, lo, hi)
+        for start in active:
+            start.active &= not any(
+                other.fx > start.fx
+                and np.max(np.abs(other.x - start.x)) <= _STENCIL_H
+                for other in starts)
+        best.append(max(start.fx for start in starts))
+    return starts, best
+
+
 def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
-    """Estimate C = sup weight(tau + p^2) * inner_integral over the plane
+    """Estimate C = sup weight(tau + p^2) * inner_integral on the plane
     p_perp = 0, tau = 0 of the search box (see the module docstring).
 
-    Grid scan over (|Q|, p_par), evaluated as one :func:`_objective_rows`
-    batch, followed by refine_iters levels of simplex descent restarted
-    from the best five points.  The running maximum per level is recorded
-    in refinement_trace.  The five descents of a level run in lockstep
-    (:func:`_lockstep`): each round evaluates their pending trial points,
-    at most five, in one :func:`_objective_rows` call.  No row's value
-    depends on its batch, so the values are those of five sequential
-    :func:`minimize` runs.  The tail bound at the maximiser comes from one
-    last :func:`inner_integral`.  The argmax reports p_perp and tau as 0.
+    One :func:`_objective_rows` batch evaluates the (|Q|, p_par) mesh and
+    the 48 rows of the large-momentum probe; the five best mesh points
+    start :func:`_refine`, whose rounds are calls of at most 35 rows.  If
+    the probe beats the plane, its value and point are reported, with a
+    BoundaryMaximizerWarning.  The reported value is a lower bound of the
+    supremum up to quadrature error, with no claim of global optimality.
     """
     M = params.mass_ratio
     qmag = cfg.qmag_grid.values()
@@ -595,76 +625,64 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
     mesh = np.stack(np.meshgrid(qmag, ppar, indexing="ij"),
                     axis=-1).reshape(-1, 2)
 
-    def plane_rows(X):
-        return _objective_rows(np.column_stack([X, np.zeros((len(X), 2))]),
-                               cfg, params)
-
-    values = plane_rows(mesh)
-
-    order = np.argsort(-values, kind="stable")
-    candidates = [(float(values[i]), tuple(mesh[i].tolist()))
-                  for i in order[:5]]
-    trace = [(0, candidates[0][0])]
-
+    # the large-momentum probe: |Q| = q, p = -kappa Q, tau = theta |Q|^2
+    q = cfg.qmag_grid.hi
+    kappa, theta = (a.ravel() for a in np.meshgrid(
+        np.linspace(0.8, 1.3, 6), np.geomspace(0.1, 3.0, 8), indexing="ij"))
+    probe = np.column_stack([np.full(48, q), -q * kappa, np.zeros(48),
+                             q * q * theta])
+    values, probe_values = np.split(_objective_rows(
+        np.vstack([np.pad(mesh, ((0, 0), (0, 2))), probe]), cfg, params),
+        [len(mesh)])
     lo = np.array([qmag[0], ppar[0]])
     hi = np.array([qmag[-1], ppar[-1]])
+    order = np.argsort(-values, kind="stable")
+    starts, rounds = _refine(mesh[order[:5]], lambda X: _objective_rows(
+        np.pad(X, ((0, 0), (0, 2))), cfg, params), lo, hi)
+    top = max(starts, key=lambda start: start.fx)
+    i = np.argmax(probe_values)
+    trace = [(k, max(v, probe_values[i]))
+             for k, v in enumerate([values[order[0]], *rounds])]
 
-    for level in range(1, cfg.refine_iters + 1):
-        shrink = 0.25 ** (level - 1)
-        descents = []
-        for val0, z0 in candidates:
-            x0 = np.array(z0)
-            simplex = [x0]
-            for i in range(2):
-                step = 0.2 * shrink * (hi[i] - lo[i])
-                v = x0.copy()
-                v[i] = v[i] + step if v[i] + step <= hi[i] else v[i] - step
-                simplex.append(v)
-            descents.append(_descent(
-                x0, bounds=list(zip(lo, hi)),
-                initial_simplex=np.array(simplex), maxfev=200, xatol=1e-8,
-                fatol=1e-14))
-        # every vertex of a descent lies in the box
-        new_candidates = [(float(-res.fun), tuple(res.x.tolist()))
-                          for res in _lockstep(descents,
-                                               lambda X: -plane_rows(X))]
-        candidates = sorted(candidates + new_candidates,
-                            key=lambda t: -t[0])[:5]
-        trace.append((level, candidates[0][0]))
-
-    best_val, (q_best, ppar_best) = candidates[0]
-    _, tail = inner_integral((ppar_best, 0.0), (q_best, 0.0), 0.0,
-                             cfg, params, _with_tail=True)
-
-    # flag maximisers on genuine box boundaries (the lower edge of |Q| is a
-    # symmetry reduction, not a boundary of the search space)
-    edges = []
-    span = hi - lo
-    checks = [("q_mag high", hi[0] - q_best, span[0]),
-              ("p_par low", ppar_best - lo[1], span[1]),
-              ("p_par high", hi[1] - ppar_best, span[1])]
-    for name, dist, width in checks:
-        if width > 0 and dist < 1e-6 * width:
-            edges.append(name)
-    if edges:
+    if probe_values[i] > top.fx:
+        best_val = probe_values[i]
+        q_best, ppar_best, _, tau_best = probe[i].tolist()
         warnings.warn(
-            f"maximiser sits on the search-box boundary ({', '.join(edges)}); "
-            "the reported value may underestimate the supremum",
-            BoundaryMaximizerWarning, stacklevel=2)
-    if len(trace) >= 2:
-        v_prev, v_last = trace[-2][1], trace[-1][1]
-        if v_last > 0 and (v_last - v_prev) > _STABILITY_REL_TOL * v_last:
+            "the large-momentum regime beats the plane p_perp = 0, tau = 0: "
+            f"maximiser at |Q| = {q_best:.6g}, p = {ppar_best / q_best:.3g} "
+            f"Q, tau = {tau_best / q_best ** 2:.3g} |Q|^2; the reported "
+            "value may underestimate the supremum", BoundaryMaximizerWarning,
+            stacklevel=2)
+    else:
+        best_val, (q_best, ppar_best), tau_best = top.fx, top.x.tolist(), 0.0
+        # flag maximisers on genuine box boundaries (the lower edge of |Q|
+        # is a symmetry reduction, not a boundary of the search space)
+        span = hi - lo
+        checks = [("q_mag high", hi[0] - q_best, span[0]),
+                  ("p_par low", ppar_best - lo[1], span[1]),
+                  ("p_par high", hi[1] - ppar_best, span[1])]
+        edges = [name for name, dist, width in checks
+                 if width > 0 and dist < 1e-6 * width]
+        if edges:
             warnings.warn(
-                f"refinement not yet stable: last two levels differ by "
-                f"{(v_last - v_prev) / v_last:.2%}", UserWarning, stacklevel=2)
+                f"maximiser sits on the search-box boundary "
+                f"({', '.join(edges)}); the reported value may "
+                "underestimate the supremum", BoundaryMaximizerWarning,
+                stacklevel=2)
+    _, tail = inner_integral((ppar_best, 0.0), (q_best, 0.0), tau_best,
+                             cfg, params, _with_tail=True)
+    if top.active:
+        warnings.warn(
+            f"refinement not yet stable: the best start was still moving "
+            f"after {_MAX_ROUNDS} rounds", UserWarning, stacklevel=2)
 
     prefactor = math.pi / (1.0 + 1.0 / M)
     return CEstimate(
-        value=best_val,
+        value=float(best_val),
         argmax={"Q_mag": q_best, "p_par": ppar_best, "p_perp": 0.0,
-                "tau": 0.0},
+                "tau": tau_best},
         prefactor=prefactor,
-        ratio=best_val / prefactor,
+        ratio=float(best_val) / prefactor,
         refinement_trace=tuple((int(l), float(v)) for l, v in trace),
         truncation_error_bound=tail,
         mu=cfg.mu, lam=cfg.lam, mass_ratio=M,

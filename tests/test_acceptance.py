@@ -148,8 +148,7 @@ def test_criterion_6_c_estimator_properties():
     cfg = CSearchConfig(
         mu=-1.0, lam=1.0, q_mag_max=400.0,
         qmag_grid=GridSpec(0.0, 6.0, 3),
-        ppar_grid=GridSpec(-6.0, 6.0, 5),
-        refine_iters=2)
+        ppar_grid=GridSpec(-6.0, 6.0, 5))
     rng = np.random.default_rng(61)
 
     # rotational and reflection invariance of integrand and inner integral

@@ -21,8 +21,7 @@ SMALL_C_RUN = """
 import sys, warnings
 from dataclasses import replace
 from polaron2d import GridSpec, ModelParams, coarse_config, estimate_C
-cfg = replace(coarse_config(), refine_iters=1,
-              qmag_grid=GridSpec(0.0, 4.0, 2),
+cfg = replace(coarse_config(), qmag_grid=GridSpec(0.0, 4.0, 2),
               ppar_grid=GridSpec(-4.0, 4.0, 3))
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
@@ -115,9 +114,10 @@ class TestStartup:
         assert proc.stdout.split() == ["1.0", "1.0"]
 
     def test_refinement_batches_its_objective(self, monkeypatch):
-        # the refinement evaluates its trial points in lockstep rounds of
-        # at most 5 rows (one per start) and at most maxfev = 200 rounds
-        # per level; the scalar inner_integral is left with the final tail
+        # the grid scan is one batch of the plane mesh and the 48 probe
+        # rows; each Newton round evaluates the 7-point stencils of at most
+        # 5 starts in one call, and there are at most _MAX_ROUNDS rounds;
+        # the scalar inner_integral is left with the final tail
         from polaron2d import GridSpec, ModelParams, coarse_config, estimate_C
         from polaron2d import cconstant
 
@@ -135,17 +135,16 @@ class TestStartup:
 
         monkeypatch.setattr(cconstant, "inner_integral", counting_inner)
         monkeypatch.setattr(cconstant, "_objective_rows", counting_rows)
-        cfg = replace(coarse_config(), refine_iters=1,
-                      qmag_grid=GridSpec(0.0, 4.0, 2),
+        cfg = replace(coarse_config(), qmag_grid=GridSpec(0.0, 4.0, 2),
                       ppar_grid=GridSpec(-4.0, 4.0, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est = estimate_C(cfg, ModelParams(2.0, -1.0))
         assert len(scalar) == 1
-        assert rows[0] == 2 * 3  # the grid scan of the plane: one batch
+        assert rows[0] == 2 * 3 + 48  # the plane mesh and the probe
         refine = rows[1:]
-        assert 0 < len(refine) <= cfg.refine_iters * 200
-        assert max(refine) <= 5
+        assert 0 < len(refine) <= cconstant._MAX_ROUNDS
+        assert max(refine) <= 5 * 7 and all(n % 7 == 0 for n in refine)
         assert est.value > 0.0
 
 
@@ -367,6 +366,19 @@ class TestCConstantFlags:
     def test_non_finite_input_is_usage_error(self, args, capsys):
         assert main(["c-constant", *args]) == 1
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--lambda=1e300", "--mu=-1e300"])
+    def test_overflowing_search_box_is_usage_error(self, flag):
+        # the box scales by sqrt(max(lam, -mu)), and the angular kernel
+        # squares (M+1) q_mag_max**2: the input is refused with one message
+        # before any numpy overflow
+        proc = run_cli("c-constant", "--mass", "2", flag)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "invalid input: q_mag_max**4 must be finite, got q_mag_max = "
+            f"1e+153 at lam = {'1e+300' if 'lambda' in flag else '1'}, "
+            f"mu = {'-1' if 'lambda' in flag else '-1e+300'}"]
 
 
 class TestCConstantOutput:
