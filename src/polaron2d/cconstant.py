@@ -6,16 +6,18 @@ free term gives an empirical criterion for extending the energy bound to
 mass ratios below the analytic threshold.  By rotational invariance the
 total momentum Q is aligned with the first axis and by reflection symmetry
 the transverse component of p is kept nonnegative, which leaves the four
-coordinates (|Q|, p_par, p_perp, tau).  The search runs on the plane
-p_perp = 0, tau = 0 of these: inside the search box the maximiser lies on
-it at every mass tried, and the objective falls quadratically in p_perp
-and linearly in tau off it.  That is a numerical observation, checked by
-the tests against a four-dimensional scan and descent at fixed masses,
-not a theorem.  Beyond the box a regime with p against Q and tau growing
-like |Q|^2 can win at small M or lam/|mu|; a probe at the box's |Q| edge
-reports it, and warns.  The estimate is the objective at the best point
-found: a lower bound of the supremum up to quadrature error, with no claim
-that the maximum found is the global one.
+coordinates (|Q|, p_par, p_perp, tau).  Scaling (mu, lam, tau) by s and
+the momenta by sqrt(s) leaves the objective unchanged, so C depends on M
+and x = lam/|mu| alone: the estimate runs at mu = -1, lam = x.  It
+searches the plane p_perp = 0, tau = 0: inside the search box the
+maximiser lies on it at every mass tried, and the objective falls
+quadratically in p_perp and linearly in tau off it.  That is a numerical
+observation, checked by the tests against a four-dimensional scan and
+descent at fixed masses, not a theorem.  Beyond the box a regime with p
+against Q and tau growing like |Q|^2 can win at small M or x; a probe at
+the box's |Q| edge reports it, and warns.  The estimate is the objective
+at the best point found: a lower bound of the supremum up to quadrature
+error, with no claim that the maximum found is the global one.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "weight", "c_integrand", "inner_integral", "inner_integral_tail_bound",
     "estimate_C", "scan_C_vs_M", "coarse_config", "fine_config",
 ]
+
+_MU = -1.0  # the trial energy of every C evaluation; lam is x = lam/|mu|
 
 
 class TailBoundExceeded(RuntimeError):
@@ -234,16 +238,16 @@ class GridSpec:
 class CSearchConfig:
     """Search configuration for the C estimate.
 
-    mu and lam are recorded in every estimate: the construction does not
-    single out a canonical evaluation point, so both stay explicit
-    configuration.  q_mag_max truncates the momentum integral; the
-    truncation carries a certified closed-form tail bound, and q_mag_max**4
-    must be finite.  qmag_grid and ppar_grid span the searched plane
-    p_perp = 0, tau = 0: their mesh is the grid scan, their ends bound the
-    Newton refinement, and the large-momentum probe sits at their |Q| end.
+    lam is the evaluation point x = lam/|mu| at mu = -1: scaling
+    (mu, lam, tau) by s and the momenta by sqrt(s) leaves C unchanged, so x
+    is its one degree of freedom, recorded in every estimate.  q_mag_max
+    truncates the momentum integral; the truncation carries a certified
+    closed-form tail bound, and q_mag_max**4 must be finite.  qmag_grid and
+    ppar_grid span the searched plane p_perp = 0, tau = 0: their mesh is the
+    grid scan, their ends bound the Newton refinement, and the
+    large-momentum probe sits at their |Q| end.
     """
 
-    mu: float = -1.0
     lam: float = 1.0
     q_mag_max: float = 1000.0
     qmag_grid: GridSpec = field(default_factory=lambda: GridSpec(0.0, 8.0, 5))
@@ -253,34 +257,31 @@ class CSearchConfig:
         tail_truncation_rel=1e-2))
 
     def __post_init__(self):
-        if not -math.inf < self.mu < 0:
-            raise ValueError("mu must be negative and finite")
         if not 0 < self.lam < math.inf:
             raise ValueError("lam must be positive and finite")
         q_sq = self.q_mag_max * self.q_mag_max  # ** raises on overflow
         if not math.isfinite(q_sq * q_sq):  # _angular_kernel squares it
             raise ValueError(f"q_mag_max**4 must be finite, got q_mag_max = "
-                             f"{self.q_mag_max:.3g} at lam = {self.lam:.3g}, "
-                             f"mu = {self.mu:.3g}")
+                             f"{self.q_mag_max:.3g} at lam = {self.lam:.3g}")
         if not q_sq > self.lam:
             raise ValueError("q_mag_max**2 must exceed lam")
 
 
-def coarse_config(mu: float = -1.0, lam: float = 1.0) -> CSearchConfig:
+def coarse_config(lam: float = 1.0) -> CSearchConfig:
     """Default coarse search box, scaled to the evaluation point."""
-    s = math.sqrt(max(lam, -mu))
+    s = math.sqrt(max(lam, 1.0))
     return CSearchConfig(
-        mu=mu, lam=lam, q_mag_max=1000.0 * s,
+        lam=lam, q_mag_max=1000.0 * s,
         qmag_grid=GridSpec(0.0, 8.0 * s, 5),
         ppar_grid=GridSpec(-8.0 * s, 8.0 * s, 9),
     )
 
 
-def fine_config(mu: float = -1.0, lam: float = 1.0) -> CSearchConfig:
+def fine_config(lam: float = 1.0) -> CSearchConfig:
     """Denser grids, a larger truncation radius and a tighter quadrature."""
-    s = math.sqrt(max(lam, -mu))
+    s = math.sqrt(max(lam, 1.0))
     return CSearchConfig(
-        mu=mu, lam=lam, q_mag_max=3000.0 * s,
+        lam=lam, q_mag_max=3000.0 * s,
         qmag_grid=GridSpec(0.0, 8.0 * s, 9),
         ppar_grid=GridSpec(-8.0 * s, 8.0 * s, 17),
         quad=QuadratureSpec(rel_tol=1e-9, abs_tol=1e-14,
@@ -304,13 +305,12 @@ class CEstimate:
     ratio: float
     refinement_trace: tuple
     truncation_error_bound: float
-    mu: float
     lam: float
     mass_ratio: float
 
     def row(self) -> dict:
         """Table row: M, mu, lambda, C, prefactor, ratio and the argmax."""
-        return {"M": self.mass_ratio, "mu": self.mu, "lambda": self.lam,
+        return {"M": self.mass_ratio, "mu": _MU, "lambda": self.lam,
                 "C": self.value, "prefactor": self.prefactor,
                 "ratio": self.ratio, **self.argmax}
 
@@ -375,8 +375,8 @@ def c_integrand(p, q, Q, tau, cfg: CSearchConfig, params: ModelParams):
     qhsq = q_hat[..., 0] ** 2 + q_hat[..., 1] ** 2
     b = p_hat[..., 0] * q_hat[..., 0] + p_hat[..., 1] * q_hat[..., 1]
     Qsq = Q[..., 0] ** 2 + Q[..., 1] ** 2
-    B = (M / (M + 2.0)) * Qsq + M * (tau - cfg.mu)
-    val = (weight(tau + qsq, cfg.mu, cfg.lam) / qsq
+    B = (M / (M + 2.0)) * Qsq + M * (tau - _MU)
+    val = (weight(tau + qsq, _MU, cfg.lam) / qsq
            * _abs_sigma_minus(php_sq, b, qhsq, B, M))
     if val.ndim == 0:
         return float(val)
@@ -402,8 +402,8 @@ def _tail_bounds(p: np.ndarray, Q: np.ndarray, tau: np.ndarray,
             f"truncation radius {R} is too small for "
             f"|Q| = {cnorm[bad[0]] * (M + 2.0):.3g}; "
             "the certified tail bound degenerates")
-    w_top = np.sqrt(1.0 + (tau - cfg.mu) / R ** 2)
-    w_bot = math.sqrt(math.log1p((R ** 2 - cfg.mu) / cfg.lam))
+    w_top = np.sqrt(1.0 + (tau - _MU) / R ** 2)
+    w_bot = math.sqrt(math.log1p((R ** 2 - _MU) / cfg.lam))
     gap_sq = np.float_power(np.where(fits, R - cnorm, np.inf), 2)
     return 2.0 * math.pi * php * w_top / ((M + 2.0) * w_bot * gap_sq)
 
@@ -501,7 +501,7 @@ def _radial(eta, p_hat, c_vec, B, tau, M: float, cfg: CSearchConfig):
     circ = _angular_kernel(r, p_hat, c_vec, B, M)
     # measure: dq = (1/2) ds dtheta in s = q^2; the 1/q^2 of the
     # integrand cancels the jacobian of eta = log s
-    return 0.5 * weight(tau + s, cfg.mu, cfg.lam) * circ
+    return 0.5 * weight(tau + s, _MU, cfg.lam) * circ
 
 
 def _tail_exceeded(tail: float, val: float, quad: QuadratureSpec):
@@ -529,7 +529,7 @@ def _inner_rows(p: np.ndarray, Q: np.ndarray, tau: np.ndarray,
     # |Q|^2 per row as a dot product, the bits of Q @ Q for one vector (an
     # elementwise sum can differ by 1 ulp and move a value by 3 ulp)
     qsq = (Q[:, None, :] @ Q[:, :, None])[:, 0, 0]
-    B = (M / (M + 2.0)) * qsq + M * (tau - cfg.mu)
+    B = (M / (M + 2.0)) * qsq + M * (tau - _MU)
     cols = [v[live, None] for v in (*p_hat.T, *c_vec.T, B, tau)]
 
     def radial(eta, rows):
@@ -551,8 +551,7 @@ def _inner_rows(p: np.ndarray, Q: np.ndarray, tau: np.ndarray,
     return inner, tails
 
 
-def inner_integral(p, Q, tau: float, cfg: CSearchConfig, params: ModelParams,
-                   _with_tail: bool = False):
+def inner_integral(p, Q, tau: float, cfg: CSearchConfig, params: ModelParams):
     """Momentum integral of :func:`c_integrand` over lam < q^2 <= q_mag_max^2.
 
     Evaluated in polar coordinates: the closed-form angular integral of
@@ -565,10 +564,10 @@ def inner_integral(p, Q, tau: float, cfg: CSearchConfig, params: ModelParams,
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    (val,), (tail,) = _inner_rows(
+    (val,), _ = _inner_rows(
         np.array([p], dtype=float), np.array([Q], dtype=float),
         np.array([tau], dtype=float), cfg, params)
-    return (float(val), float(tail)) if _with_tail else float(val)
+    return float(val)
 
 
 def _objective_rows(rows: np.ndarray, cfg: CSearchConfig,
@@ -580,7 +579,7 @@ def _objective_rows(rows: np.ndarray, cfg: CSearchConfig,
         np.column_stack([p_par, p_perp]),
         np.column_stack([q_mag, np.zeros(len(rows))]), tau, cfg, params)
     psq = p_par * p_par + p_perp * p_perp
-    return weight(tau + psq, cfg.mu, cfg.lam) * inner
+    return weight(tau + psq, _MU, cfg.lam) * inner
 
 
 def _refine(points, objective, lo, hi):
@@ -669,8 +668,8 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
                 f"({', '.join(edges)}); the reported value may "
                 "underestimate the supremum", BoundaryMaximizerWarning,
                 stacklevel=2)
-    _, tail = inner_integral((ppar_best, 0.0), (q_best, 0.0), tau_best,
-                             cfg, params, _with_tail=True)
+    tail = inner_integral_tail_bound((ppar_best, 0.0), (q_best, 0.0),
+                                     tau_best, cfg, params)
     if top.active:
         warnings.warn(
             f"refinement not yet stable: the best start was still moving "
@@ -685,7 +684,7 @@ def estimate_C(cfg: CSearchConfig, params: ModelParams) -> CEstimate:
         ratio=float(best_val) / prefactor,
         refinement_trace=tuple((int(l), float(v)) for l, v in trace),
         truncation_error_bound=tail,
-        mu=cfg.mu, lam=cfg.lam, mass_ratio=M,
+        lam=cfg.lam, mass_ratio=M,
     )
 
 
@@ -698,14 +697,14 @@ def scan_C_vs_M(M_values, cfg: CSearchConfig) -> list[dict]:
     if len(M_values) == 0:
         raise ValueError("M_values must be nonempty")
     rows = []
-    for M in M_values:
+    for M in map(float, M_values):
         try:
-            row = estimate_C(cfg, ModelParams(float(M), -1.0)).row()
+            row = estimate_C(cfg, ModelParams(M, -1.0)).row()
             row["error"] = None
         except Exception as exc:  # noqa: BLE001 - per-row capture is the contract
-            row = {"M": float(M), "mu": cfg.mu, "lambda": cfg.lam, "C": None,
-                   "prefactor": math.pi / (1.0 + 1.0 / M), "ratio": None,
-                   "Q_mag": None, "p_par": None, "p_perp": None, "tau": None,
-                   "error": str(exc)}
+            row = {"M": M, "mu": _MU, "lambda": cfg.lam, "C": None,
+                   "prefactor": math.pi / (1.0 + 1.0 / M) if M > 0 else None,
+                   "ratio": None, "Q_mag": None, "p_par": None, "p_perp": None,
+                   "tau": None, "error": str(exc)}
         rows.append(row)
     return rows

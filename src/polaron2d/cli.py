@@ -232,7 +232,7 @@ _CCONST_CSV = ["M", "mu", "lambda", "C", "prefactor", "ratio",
 
 def cmd_cconstant(args) -> int:
     make_cfg = fine_config if args.grid == "fine" else coarse_config
-    cfg = make_cfg(mu=args.mu, lam=args.lam)
+    cfg = make_cfg(lam=args.lam)
     with warnings.catch_warnings():
         # boundary-maximiser and stability warnings belong on stderr
         warnings.simplefilter("always")
@@ -279,7 +279,7 @@ def cmd_cconstant(args) -> int:
     else:
         _emit_human([
             f"mass ratio        M   = {args.mass}",
-            f"evaluation point (mu, lambda) = ({est.mu}, {est.lam})",
+            f"evaluation point  x = lambda/|mu| = {est.lam}",
             f"estimate          C   = {est.value!r}",
             f"prefactor   pi/(1+1/M) = {est.prefactor!r}",
             f"ratio  C / prefactor  = {est.ratio!r}",
@@ -361,10 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("c-constant",
                        help="estimate the spectral coupling constant C")
     p.add_argument("--mass", type=float, help="mass ratio M > 0")
-    p.add_argument("--mu", type=float, default=-1.0,
-                   help="trial energy of the evaluation point (default -1)")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="infrared cutoff of the evaluation point (default 1)")
+                   help="evaluation point x = lambda/|mu| at mu = -1; C "
+                        "depends on mu and lambda only through x (default 1)")
     p.add_argument("--grid", choices=("coarse", "fine"), default="coarse")
     p.add_argument("--scan", type=_parse_scan, default=None,
                    metavar="START:STOP:STEPS", help="mass-ratio scan")

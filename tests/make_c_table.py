@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/make_c_table.py
 
 x = lam/|mu| is the evaluation point, taken at mu = -1 with the default
-coarse search box of ``coarse_config(-1, x)``.  Each entry records C, its
+coarse search box of ``coarse_config(x)``.  Each entry records C, its
 argmax and the regime that gave it: "plane" for the searched plane
 p_perp = 0, tau = 0, "large-momentum" for the probe at the |Q| edge of
 the box.  ``tests/test_cconstant.py::TestPinnedTable`` holds the package
@@ -25,7 +25,7 @@ PATH = Path(__file__).with_name("c_table.json")
 def entry(M: float, x: float) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = estimate_C(coarse_config(-1.0, x), ModelParams(M, -1.0))
+        est = estimate_C(coarse_config(x), ModelParams(M, -1.0))
     return {"M": M, "x": x, "C": est.value, "argmax": est.argmax,
             "regime": "plane" if est.argmax["tau"] == 0.0
             else "large-momentum"}

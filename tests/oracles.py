@@ -31,7 +31,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from polaron2d._quad import _budget_error, _converged, _gk15, _nodes
-from polaron2d.cconstant import (TailBoundExceeded, _radial, _shift,
+from polaron2d.cconstant import (_MU, TailBoundExceeded, _radial, _shift,
                                  _tail_exceeded, weight)
 
 
@@ -140,13 +140,12 @@ def tail_bound_point(p, Q, tau: float, cfg, params) -> float:
         raise TailBoundExceeded(
             f"truncation radius {R} is too small for |Q| = {cnorm * (M + 2.0):.3g}; "
             "the certified tail bound degenerates")
-    w_top = math.sqrt(1.0 + (tau - cfg.mu) / R ** 2)
-    w_bot = math.sqrt(math.log1p((R ** 2 - cfg.mu) / cfg.lam))
+    w_top = math.sqrt(1.0 + (tau - _MU) / R ** 2)
+    w_bot = math.sqrt(math.log1p((R ** 2 - _MU) / cfg.lam))
     return 2.0 * math.pi * php * w_top / ((M + 2.0) * w_bot * (R - cnorm) ** 2)
 
 
-def inner_integral_point(p, Q, tau: float, cfg, params,
-                         _with_tail: bool = False):
+def inner_integral_point(p, Q, tau: float, cfg, params):
     """``cconstant.inner_integral`` for one point, on plain floats.
 
     The package integrates every point as a row of a lockstep batch; this
@@ -162,9 +161,9 @@ def inner_integral_point(p, Q, tau: float, cfg, params,
     p_hat = p + c_vec
     php = math.hypot(float(p_hat[0]), float(p_hat[1]))
     if php == 0.0:
-        return (0.0, 0.0) if _with_tail else 0.0
+        return 0.0
     tail = tail_bound_point(p, Q, tau, cfg, params)
-    B = (M / (M + 2.0)) * float(Q @ Q) + M * (tau - cfg.mu)
+    B = (M / (M + 2.0)) * float(Q @ Q) + M * (tau - _MU)
     quad = cfg.quad
     ph = (float(p_hat[0]), float(p_hat[1]))
     cv = (float(c_vec[0]), float(c_vec[1]))
@@ -174,8 +173,6 @@ def inner_integral_point(p, Q, tau: float, cfg, params,
                     panels=8)
     if tail > quad.tail_truncation_rel * val + quad.abs_tol:
         raise _tail_exceeded(tail, val, quad)
-    if _with_tail:
-        return val, tail
     return val
 
 
@@ -186,7 +183,7 @@ def objective_point(z, cfg, params) -> float:
     psq = p_par * p_par + p_perp * p_perp
     inner = inner_integral_point((p_par, p_perp), (q_mag, 0.0), tau, cfg,
                                  params)
-    return weight(tau + psq, cfg.mu, cfg.lam) * inner
+    return weight(tau + psq, _MU, cfg.lam) * inner
 
 
 def bisect(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 400):
@@ -259,15 +256,15 @@ def envelope_integral_radial(k, params) -> float:
     return math.pi * (inner / k.lam + outer)
 
 
-def c_integrand_scalar(p, q, Q, tau, cfg, params) -> float:
-    """The C integrand recoded in plain scalar arithmetic.
+def c_integrand_scalar(p, q, Q, tau, mu, lam, params) -> float:
+    """The C integrand recoded in plain scalar arithmetic, at any trial
+    energy mu < 0 and cutoff lam > 0 (the package fixes mu = -1).
 
     Written from the explicit denominator-difference form
     (D^2 - (4/M^2)(p_hat.q_hat)^2 with D the full shifted denominator),
     a different grouping than the package uses.
     """
     M = params.mass_ratio
-    mu, lam = cfg.mu, cfg.lam
     qsq = q[0] * q[0] + q[1] * q[1]
     shift = 1.0 / (M + 2.0)
     phx, phy = p[0] + shift * Q[0], p[1] + shift * Q[1]
@@ -298,7 +295,7 @@ def cartesian_annulus_integral(p, Q, tau, cfg, params,
     p_hat = (p[0] + c_vec[0], p[1] + c_vec[1])
 
     def integrand(y, x):
-        return c_integrand_scalar(p, (x, y), Q, tau, cfg, params)
+        return c_integrand_scalar(p, (x, y), Q, tau, -1.0, lam, params)
 
     def kink_y(x):
         # p_hat . (q + c) = 0 solved for y at fixed x

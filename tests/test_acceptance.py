@@ -20,7 +20,8 @@ import pytest
 from polaron2d import (CSearchConfig, GridSpec, ModelParams, QuadratureSpec,
                        alpha_m, bound_lhs, bound_lhs_alt, c_integrand,
                        critical_mass, envelope_cutoff_integral, estimate_C,
-                       inner_integral, solve_gamma, solve_mu, weight)
+                       inner_integral, inner_integral_tail_bound,
+                       solve_gamma, solve_mu, weight)
 from polaron2d.verify import (_case_momentum_bounds, _case_resolvent_tail,
                               _case_sigma_minus, _case_u_integral,
                               verify_rearrangement)
@@ -146,7 +147,7 @@ def test_criterion_6_c_estimator_properties():
     gate = _Gate(6, "C estimator properties", 600.0)
     pars = ModelParams(2.0, -1.0)
     cfg = CSearchConfig(
-        mu=-1.0, lam=1.0, q_mag_max=400.0,
+        lam=1.0, q_mag_max=400.0,
         qmag_grid=GridSpec(0.0, 6.0, 3),
         ppar_grid=GridSpec(-6.0, 6.0, 5))
     rng = np.random.default_rng(61)
@@ -192,7 +193,8 @@ def test_criterion_6_c_estimator_properties():
     assert (levels[-1] - levels[-2]) <= 0.02 * levels[-1]
 
     # doubling the truncation radius moves the integral less than the bound
-    v1, tail = inner_integral(p, Q, tau, cfg, pars, _with_tail=True)
+    v1 = inner_integral(p, Q, tau, cfg, pars)
+    tail = inner_integral_tail_bound(p, Q, tau, cfg, pars)
     v2 = inner_integral(p, Q, tau, replace(cfg, q_mag_max=2 * cfg.q_mag_max),
                         pars)
     assert 0.0 <= v2 - v1 <= tail

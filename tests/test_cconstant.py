@@ -50,7 +50,7 @@ def oracle_cfg():
 @pytest.fixture
 def small_cfg():
     return CSearchConfig(
-        mu=-1.0, lam=1.0, q_mag_max=400.0,
+        lam=1.0, q_mag_max=400.0,
         qmag_grid=GridSpec(0.0, 6.0, 3),
         ppar_grid=GridSpec(-6.0, 6.0, 5))
 
@@ -108,7 +108,7 @@ class TestCIntegrand:
             tau = float(10 ** rng.uniform(-2, 2))
             v1 = c_integrand(p, q, Q, tau, small_cfg, params_m2)
             v2 = c_integrand_scalar(tuple(p), tuple(q), tuple(Q), tau,
-                                    small_cfg, params_m2)
+                                    -1.0, small_cfg.lam, params_m2)
             assert v1 == pytest.approx(v2, rel=1e-13)
 
     def test_denominator_positive_on_million_samples(self, small_cfg, rng):
@@ -132,7 +132,7 @@ class TestCIntegrand:
             qh = q + shift * Q
             b = (ph * qh).sum(axis=1)
             D = ((1 + 1 / M) * ((ph ** 2).sum(axis=1) + (qh ** 2).sum(axis=1))
-                 + shift * (Q ** 2).sum(axis=1) + tau - small_cfg.mu)
+                 + shift * (Q ** 2).sum(axis=1) + tau + 1.0)  # mu = -1
             assert np.all(D * D - 4.0 * b * b / (M * M) > 0.0)
             total += n
         assert total == 1_000_000
@@ -141,6 +141,40 @@ class TestCIntegrand:
         with pytest.raises(ValueError):
             c_integrand(np.array([1.0, 0.0]), np.array([0.5, 0.0]),
                         np.array([0.0, 0.0]), 1.0, small_cfg, params_m2)
+
+
+class TestScaleInvariance:
+    """(mu, lam, tau) -> s (mu, lam, tau) with every momentum scaled by
+    sqrt(s) multiplies the integrand by s**-1.5, the measure d^2q by s and
+    the outer weight by sqrt(s), so C depends on M and x = lam/|mu| alone.
+    That licenses the package's one knob: mu = -1 and lam = x.  Checked on
+    the scalar recoding, which takes mu and lam as arguments."""
+
+    def test_integrand_scales_as_s_to_the_minus_three_halves(self, rng):
+        for _ in range(200):
+            pars = ModelParams(float(10 ** rng.uniform(-1, 1.5)), -1.0)
+            mu = -float(10 ** rng.uniform(-2, 2))
+            lam = float(10 ** rng.uniform(-2, 2))
+            p, Q = rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2)
+            ang = float(rng.uniform(0, 2 * math.pi))
+            q = math.sqrt(lam * 10 ** rng.uniform(1e-3, 3)) * np.array(
+                [math.cos(ang), math.sin(ang)])  # q^2 > lam
+            tau = float(10 ** rng.uniform(-3, 2))
+            s = float(10 ** rng.uniform(-6, 6))
+            r = math.sqrt(s)
+            base = c_integrand_scalar(tuple(p), tuple(q), tuple(Q), tau,
+                                      mu, lam, pars)
+            scaled = c_integrand_scalar(tuple(r * p), tuple(r * q),
+                                        tuple(r * Q), s * tau, s * mu,
+                                        s * lam, pars)
+            assert scaled * s ** 1.5 == pytest.approx(base, rel=1e-12)
+
+    def test_weight_scales_as_sqrt_s(self, rng):
+        for _ in range(200):
+            t, x = (float(10 ** rng.uniform(-3, 3)) for _ in range(2))
+            s = float(10 ** rng.uniform(-6, 6))
+            assert weight(s * t, -s, s * x) == pytest.approx(
+                math.sqrt(s) * weight(t, -1.0, x), rel=1e-14)
 
 
 def _kernel_vs_oracle(r, p_hat, c_vec, B, M):
@@ -201,7 +235,8 @@ class TestInnerIntegral:
     def test_truncation_refinement_within_tail_bound(self, params_m2):
         cfg = coarse_config()
         p, Q, tau = np.array([1.0, 0.5]), np.array([2.0, 0.0]), 0.7
-        v1, tail = inner_integral(p, Q, tau, cfg, params_m2, _with_tail=True)
+        v1 = inner_integral(p, Q, tau, cfg, params_m2)
+        tail = inner_integral_tail_bound(p, Q, tau, cfg, params_m2)
         cfg2 = replace(cfg, q_mag_max=2 * cfg.q_mag_max)
         v2 = inner_integral(p, Q, tau, cfg2, params_m2)
         assert 0.0 <= v2 - v1 <= tail
@@ -262,11 +297,10 @@ class TestInnerIntegral:
         for _ in range(200):
             p, Q = rng.uniform(-6, 6, 2), rng.uniform(-6, 6, 2)
             tau = float(10 ** rng.uniform(-3, 3))
-            got = inner_integral(p, Q, tau, cfg, params, _with_tail=True)
-            want = inner_integral_point(p, Q, tau, cfg, params,
-                                        _with_tail=True)
-            assert got[1] == want[1]
-            assert got[0] == want[0]
+            assert (inner_integral_tail_bound(p, Q, tau, cfg, params)
+                    == tail_bound_point(p, Q, tau, cfg, params))
+            assert (inner_integral(p, Q, tau, cfg, params)
+                    == inner_integral_point(p, Q, tau, cfg, params))
 
     @given(M=st.sampled_from([0.5, 2.0, 5.0]), n=st.integers(1, 300),
            seed=st.integers(0, 2**32 - 1))
@@ -284,8 +318,9 @@ class TestInnerIntegral:
         alone, errors = [], {}
         for i in range(n):
             try:
-                alone.append(inner_integral(p[i], Q[i], float(tau[i]), cfg,
-                                            params, _with_tail=True))
+                alone.append(tuple(
+                    f(p[i], Q[i], float(tau[i]), cfg, params)
+                    for f in (inner_integral, inner_integral_tail_bound)))
             except (TailBoundExceeded, QuadratureError) as exc:
                 errors[i] = exc
         ok = np.array([i not in errors for i in range(n)])
@@ -511,7 +546,7 @@ class TestEstimateC:
         assert len(levels) >= 2
         assert all(b >= a for a, b in zip(levels, levels[1:]))
         assert est.truncation_error_bound >= 0.0
-        assert est.mu == small_cfg.mu and est.lam == small_cfg.lam
+        assert est.lam == small_cfg.lam and est.row()["mu"] == -1.0
 
     # the three points where the large-momentum probe beats the plane
     # (ROADMAP item 15), and four where it does not
@@ -523,7 +558,7 @@ class TestEstimateC:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             warnings.simplefilter("ignore", BoundaryMaximizerWarning)
-            return estimate_C(coarse_config(-1.0, x), ModelParams(M, -1.0))
+            return estimate_C(coarse_config(x), ModelParams(M, -1.0))
 
     def test_dominates_every_grid_point(self):
         # estimate_C searches the plane p_perp = 0, tau = 0, and probes the
@@ -531,7 +566,7 @@ class TestEstimateC:
         # of a 4-D mesh of the box beats it is a numerical observation at
         # these points, not a theorem
         for M, x in self.PLANE_WINS + self.PROBE_WINS:
-            cfg, params = coarse_config(-1.0, x), ModelParams(M, -1.0)
+            cfg, params = coarse_config(x), ModelParams(M, -1.0)
             est = self.estimate(M, x)
             am = est.argmax
             assert am["p_perp"] == 0.0
@@ -554,7 +589,7 @@ class TestEstimateC:
     def test_no_4d_descent_beats_the_estimate(self, M, x):
         # a 4-D descent (scipy's) from the argmax, with p_perp and tau free
         # in the box, finds nothing higher
-        cfg, params = coarse_config(-1.0, x), ModelParams(M, -1.0)
+        cfg, params = coarse_config(x), ModelParams(M, -1.0)
         est = self.estimate(M, x)
         am = est.argmax
         lo = np.array([0.0, -8.0, 0.0, 0.0])
@@ -573,7 +608,7 @@ class TestEstimateC:
         # reported, and a warning names the regime; elsewhere no warning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            est = estimate_C(coarse_config(-1.0, x), ModelParams(M, -1.0))
+            est = estimate_C(coarse_config(x), ModelParams(M, -1.0))
         messages = [str(w.message) for w in caught
                     if w.category is BoundaryMaximizerWarning]
         if (M, x) in self.PROBE_WINS:
@@ -583,7 +618,7 @@ class TestEstimateC:
             assert am["Q_mag"] == 8.0 and am["tau"] > 0.0
             assert est.value == pytest.approx(
                 objective_point((am["Q_mag"], am["p_par"], 0.0, am["tau"]),
-                                coarse_config(-1.0, x), ModelParams(M, -1.0)),
+                                coarse_config(x), ModelParams(M, -1.0)),
                 rel=1e-13)
         else:
             assert caught == []
@@ -597,7 +632,7 @@ class TestEstimateC:
         am = est.argmax
         p = np.array([am["p_par"], am["p_perp"]])
         Q = np.array([am["Q_mag"], 0.0])
-        w = weight(am["tau"] + p @ p, small_cfg.mu, small_cfg.lam)
+        w = weight(am["tau"] + p @ p, -1.0, small_cfg.lam)
         base = w * inner_integral(p, Q, am["tau"], small_cfg, params_m2)
         R = rotation(float(rng.uniform(0, 2 * math.pi)))
         rot = w * inner_integral(R @ p, R @ Q, am["tau"], small_cfg, params_m2)
@@ -673,7 +708,7 @@ class TestEstimateC:
         # sees a maximum at every plane point of the pinned table
         am = entry["argmax"]
         H = stencil_hessian((am["Q_mag"], am["p_par"]), h,
-                            coarse_config(-1.0, entry["x"]),
+                            coarse_config(entry["x"]),
                             ModelParams(entry["M"], -1.0))
         assert np.linalg.eigvalsh(H).max() < 0.0
 
@@ -850,7 +885,7 @@ class TestPinnedTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             warnings.simplefilter("ignore", BoundaryMaximizerWarning)
-            est = estimate_C(coarse_config(-1.0, entry["x"]),
+            est = estimate_C(coarse_config(entry["x"]),
                              ModelParams(entry["M"], -1.0))
         assert est.value == pytest.approx(entry["C"],
                                           rel=C_TABLE["C_rel_tol"])
@@ -889,6 +924,18 @@ class TestScan:
         assert rows[0]["error"] is not None
         assert rows[0]["C"] is None
 
+    @pytest.mark.parametrize("M", [0.0, -1.0, np.float64(0.0)],
+                             ids=["zero", "negative", "numpy_zero"])
+    def test_non_positive_mass_row_has_no_prefactor(self, M):
+        # the error row is captured without a division by zero, and
+        # without numpy's warning for a numpy mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row, = scan_C_vs_M([M], coarse_config())
+        assert row["prefactor"] is None and row["C"] is None
+        assert "mass_ratio must be positive" in row["error"]
+        assert row["mu"] == -1.0 and row["lambda"] == 1.0
+
     def test_empty_scan_rejected(self, small_cfg):
         with pytest.raises(ValueError):
             scan_C_vs_M([], small_cfg)
@@ -897,24 +944,21 @@ class TestScan:
 class TestConfigValidation:
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            CSearchConfig(mu=0.5)
-        with pytest.raises(ValueError):
             CSearchConfig(lam=-1.0)
         with pytest.raises(ValueError):
             CSearchConfig(q_mag_max=0.5, lam=1.0)
-        for field in ({"mu": -math.inf}, {"lam": math.inf}):
-            with pytest.raises(ValueError, match="finite"):
-                CSearchConfig(**field)
+        with pytest.raises(ValueError, match="finite"):
+            CSearchConfig(lam=math.inf)
+        with pytest.raises(TypeError):
+            CSearchConfig(mu=-1.0)
 
-    @pytest.mark.parametrize("mu, lam", [(-1.0, 1e300), (-1e300, 1.0),
-                                         (-1.0, 1e308)])
-    def test_box_that_overflows_the_kernel(self, mu, lam):
-        # coarse_config scales q_mag_max by sqrt(max(lam, -mu)); the
-        # angular kernel squares (M+1) q_mag_max**2, so q_mag_max**4 must
-        # be finite
+    @pytest.mark.parametrize("lam", [1e300, 1e308])
+    def test_box_that_overflows_the_kernel(self, lam):
+        # coarse_config scales q_mag_max by sqrt(max(lam, 1)); the angular
+        # kernel squares (M+1) q_mag_max**2, so q_mag_max**4 must be finite
         with pytest.raises(ValueError, match=r"q_mag_max\*\*4 must be finite"):
-            coarse_config(mu, lam)
-        assert coarse_config(-1.0, 1e140).q_mag_max == pytest.approx(1e73)
+            coarse_config(lam)
+        assert coarse_config(1e140).q_mag_max == pytest.approx(1e73)
 
     def test_grid_spec(self):
         with pytest.raises(ValueError):
@@ -929,6 +973,6 @@ class TestConfigValidation:
         assert vals.tolist() == pytest.approx([1.0, 10.0, 100.0])
 
     def test_fine_config_valid(self):
-        cfg = fine_config(mu=-2.0, lam=0.5)
-        assert cfg.mu == -2.0 and cfg.lam == 0.5
-        assert not hasattr(cfg, "refine_iters")
+        cfg = fine_config(lam=0.5)
+        assert cfg.lam == 0.5
+        assert not hasattr(cfg, "mu") and not hasattr(cfg, "refine_iters")

@@ -117,30 +117,34 @@ class TestStartup:
         # the grid scan is one batch of the plane mesh and the 48 probe
         # rows; each Newton round evaluates the 7-point stencils of at most
         # 5 starts in one call, and there are at most _MAX_ROUNDS rounds;
-        # the scalar inner_integral is left with the final tail
+        # no scalar inner_integral runs, and the tail at the maximiser is
+        # one closed-form bound
         from polaron2d import GridSpec, ModelParams, coarse_config, estimate_C
         from polaron2d import cconstant
 
-        scalar, rows = [], []
-        real_inner, real_rows = cconstant.inner_integral, \
-            cconstant._objective_rows
+        scalar, tails, rows = [], [], []
+        real_rows = cconstant._objective_rows
+        real_tail = cconstant.inner_integral_tail_bound
 
-        def counting_inner(*args, **kwargs):
-            scalar.append(args)
-            return real_inner(*args, **kwargs)
+        def counting_tail(*args):
+            tails.append(args)
+            return real_tail(*args)
 
         def counting_rows(chunk, *args):
             rows.append(len(chunk))
             return real_rows(chunk, *args)
 
-        monkeypatch.setattr(cconstant, "inner_integral", counting_inner)
+        monkeypatch.setattr(cconstant, "inner_integral",
+                            lambda *args: scalar.append(args))
+        monkeypatch.setattr(cconstant, "inner_integral_tail_bound",
+                            counting_tail)
         monkeypatch.setattr(cconstant, "_objective_rows", counting_rows)
         cfg = replace(coarse_config(), qmag_grid=GridSpec(0.0, 4.0, 2),
                       ppar_grid=GridSpec(-4.0, 4.0, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est = estimate_C(cfg, ModelParams(2.0, -1.0))
-        assert len(scalar) == 1
+        assert len(scalar) == 0 and len(tails) == 1
         assert rows[0] == 2 * 3 + 48  # the plane mesh and the probe
         refine = rows[1:]
         assert 0 < len(refine) <= cconstant._MAX_ROUNDS
@@ -204,6 +208,9 @@ class TestBound:
         assert main(["bound", "--mass", "2", "--binding", "-1e-3",
                      "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["binding_energy"] == -0.001
+        args = build_parser().parse_args(["bound", "--mass", "2",
+                                          "--binding", "-2e0"])
+        assert args.binding == -2.0
 
     @pytest.mark.parametrize("args", [
         ["--mass", "inf", "--binding", "-1"],
@@ -355,30 +362,41 @@ class TestCConstantFlags:
         assert run_cli("c-constant", "--scan", "nonsense").returncode == 1
         assert run_cli("c-constant", "--scan", "2:1:5").returncode == 1
 
-    def test_negative_value_with_exponent(self):
-        args = build_parser().parse_args(["c-constant", "--mass", "2",
-                                          "--mu", "-2e0"])
-        assert args.mu == -2.0
-
-    @pytest.mark.parametrize("args", [["--mass", "inf"],
-                                      ["--mass", "2", "--mu=-inf"]],
-                             ids=["mass", "mu"])
-    def test_non_finite_input_is_usage_error(self, args, capsys):
-        assert main(["c-constant", *args]) == 1
+    def test_non_finite_input_is_usage_error(self, capsys):
+        assert main(["c-constant", "--mass", "inf"]) == 1
         assert "invalid input" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--lambda=1e300", "--mu=-1e300"])
-    def test_overflowing_search_box_is_usage_error(self, flag):
-        # the box scales by sqrt(max(lam, -mu)), and the angular kernel
+    def test_mu_flag_is_gone(self):
+        # C depends on mu and lambda only through x = lambda/|mu|, so
+        # --lambda is x at mu = -1 and there is no --mu
+        proc = run_cli("c-constant", "--mass", "2", "--mu", "-1")
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --mu" in proc.stderr
+        assert proc.stdout == ""
+        assert "--mu" not in run_cli("c-constant", "--help").stdout
+
+    def test_overflowing_search_box_is_usage_error(self):
+        # the box scales by sqrt(max(lambda, 1)), and the angular kernel
         # squares (M+1) q_mag_max**2: the input is refused with one message
         # before any numpy overflow
-        proc = run_cli("c-constant", "--mass", "2", flag)
+        proc = run_cli("c-constant", "--mass", "2", "--lambda=1e300")
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
             "invalid input: q_mag_max**4 must be finite, got q_mag_max = "
-            f"1e+153 at lam = {'1e+300' if 'lambda' in flag else '1'}, "
-            f"mu = {'-1' if 'lambda' in flag else '-1e+300'}"]
+            "1e+153 at lam = 1e+300"]
+
+    def test_scan_over_non_positive_masses(self):
+        # each row fails and is reported; no division by zero, no numpy
+        # warning, and no prefactor
+        proc = run_cli("c-constant", "--scan=-1:0:2", "--format", "json")
+        assert proc.returncode == 0
+        rows = json.loads(proc.stdout)
+        assert [row["M"] for row in rows] == [-1.0, 0.0]
+        assert all(row["prefactor"] is None and row["error"] for row in rows)
+        assert proc.stderr.splitlines() == [
+            f"M = {M}: mass_ratio must be positive and finite, got {M}"
+            for M in (-1.0, 0.0)]
 
 
 class TestCConstantOutput:
